@@ -335,9 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("heap", "mmap"),
         default=None,
         help="where the assembled hyper-graph CSR lives: 'heap' (default) "
-        "or 'mmap' — disk-backed spill files, keeping coordinator RSS "
-        "independent of theta (requires --storage shared; bit-identical "
-        "results; see docs/performance.md)",
+        "or 'mmap' — disk-backed spill files (bit-identical results; "
+        "keeps coordinator RSS independent of theta only with --storage "
+        "shared; see docs/performance.md)",
     )
     slv.add_argument(
         "--spill-dir",

@@ -35,6 +35,7 @@ from repro.obs.context import get_metrics, get_tracer
 from repro.rrset.hypergraph import RRHypergraph
 from repro.rrset.sample_size import default_num_rr_sets
 from repro.runtime.checkpoint import CheckpointStore, content_key
+from repro.runtime.checkpoint import problem_fingerprint as _problem_fingerprint
 from repro.runtime.deadline import DeadlineLike
 from repro.runtime.faults import maybe_inject
 from repro.runtime.retry import retry
@@ -154,23 +155,6 @@ def validate_run_inputs(
         raise ConfigurationError(
             f"evaluation_samples must be >= 1, got {evaluation_samples}"
         )
-
-
-def _problem_fingerprint(problem: CIMProblem) -> Dict[str, object]:
-    """The content of a problem that determines experiment output."""
-    graph = problem.graph
-    return {
-        "num_nodes": problem.num_nodes,
-        "num_edges": graph.num_edges,
-        "out_offsets": graph.out_offsets,
-        "out_targets": graph.out_targets,
-        "out_probs": graph.out_probs,
-        "budget": float(problem.budget),
-        # Curve responses on a fixed grid pin down the population without
-        # needing every curve class to be individually hashable.
-        "curves": problem.population.probabilities_at(0.25),
-        "curves_hi": problem.population.probabilities_at(0.75),
-    }
 
 
 def run_methods(

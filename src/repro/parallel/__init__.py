@@ -14,7 +14,7 @@ is bit-identical by construction, because each chunk's seed stream is
 fixed at planning time.  :class:`SupervisionPolicy` bounds the recovery
 budgets; see ``docs/resilience.md`` for the failure-mode table.
 
-Consumers: :func:`repro.rrset.sampler.sample_rr_sets`,
+Consumers: :func:`repro.rrset.sampler.sample_rr_csr`,
 :func:`repro.diffusion.montecarlo.estimate_spread`,
 :func:`repro.diffusion.montecarlo.estimate_configuration_spread`, the
 batch IC engine, and everything layered on top of them

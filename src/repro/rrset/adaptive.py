@@ -15,7 +15,7 @@ growing instalments, re-optimize the discount configuration after each one
   instalments are reused, never discarded).
 
 Determinism is inherited from the chunked sampling plan
-(:func:`repro.rrset.sampler.sample_rr_sets` with ``start_at``): instalment
+(:func:`repro.rrset.sampler.sample_rr_csr` with ``start_at``): instalment
 boundaries always sit on chunk boundaries, so the grown hyper-graph is
 bit-identical to a one-shot build of the same total θ — at any worker
 count — and intermediate hyper-graphs can be checkpointed and resumed
@@ -34,21 +34,15 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.constraints import ResolvedConstraints
 
-from repro.exceptions import (
-    CheckpointError,
-    EstimationError,
-    StorageError,
-    WorkerPoolError,
-)
+from repro.exceptions import CheckpointError, EstimationError, WorkerPoolError
 from repro.obs.context import get_metrics, get_tracer
 from repro.parallel.pool import DEFAULT_CHUNK_SIZE
 from repro.parallel.supervisor import SupervisionLike
 from repro.rrset.estimator import HypergraphObjective
-from repro.rrset.hypergraph import RRHypergraph
+from repro.rrset.hypergraph import RRHypergraph, csr_offsets
 from repro.rrset.sample_size import default_num_rr_sets
-from repro.rrset.sampler import sample_rr_csr, sample_rr_sets
-from repro.rrset.storage import resolve_storage
-from repro.runtime.checkpoint import CheckpointStore, content_key
+from repro.rrset.sampler import sample_rr_csr
+from repro.runtime.checkpoint import CheckpointStore, content_key, problem_fingerprint
 from repro.runtime.deadline import DeadlineLike, as_deadline
 from repro.utils.rng import SeedLike, as_root_sequence
 from repro.utils.timing import TimingBreakdown
@@ -168,21 +162,6 @@ class AdaptiveResult:
     timings: TimingBreakdown = field(default_factory=TimingBreakdown)
 
 
-def _problem_fingerprint(problem) -> Dict[str, object]:
-    """The problem content that determines the sampled stream and objective."""
-    graph = problem.graph
-    return {
-        "num_nodes": problem.num_nodes,
-        "num_edges": graph.num_edges,
-        "out_offsets": graph.out_offsets,
-        "out_targets": graph.out_targets,
-        "out_probs": graph.out_probs,
-        "budget": float(problem.budget),
-        "curves": problem.population.probabilities_at(0.25),
-        "curves_hi": problem.population.probabilities_at(0.75),
-    }
-
-
 def _stable(values: List[float], window: int, rtol: float) -> bool:
     """True when the last ``window`` doublings changed the value by < rtol."""
     if window <= 0 or len(values) < window + 1:
@@ -257,7 +236,7 @@ def adaptive_hypergraph(
         ``checkpoint_dir`` is given (content keys must be serializable).
     workers, chunk_size:
         Parallel sampling controls, forwarded to
-        :func:`~repro.rrset.sampler.sample_rr_sets`; results are
+        :func:`~repro.rrset.sampler.sample_rr_csr`; results are
         bit-identical for every worker count.
     deadline:
         Optional run budget shared by sampling and descent.  On expiry the
@@ -265,7 +244,7 @@ def adaptive_hypergraph(
         with ``stop_reason="deadline"``.
     supervision:
         Pool recovery policy forwarded to
-        :func:`~repro.rrset.sampler.sample_rr_sets`.  When a later
+        :func:`~repro.rrset.sampler.sample_rr_csr`.  When a later
         instalment's pool fails past its budgets
         (:class:`~repro.exceptions.WorkerPoolError`), the completed
         instalments are *salvaged*: the incumbent is returned with
@@ -300,20 +279,13 @@ def adaptive_hypergraph(
         descent honours them, and the constraint spec becomes part of the
         checkpoint content key — a constrained run never resumes an
         unconstrained run's instalments (or vice versa).
-    storage, slab_dir:
-        ``storage="shared"`` samples each instalment through memory-mapped
-        slabs (:func:`~repro.rrset.sampler.sample_rr_csr`) and appends it
-        with :meth:`RRHypergraph.extend_csr` — zero pickling of member
-        arrays.  Never part of the checkpoint content key: both modes
-        produce bit-identical hyper-graphs, so checkpoints written under
-        one mode resume under the other.
-    backing, spill_dir:
-        With ``storage="shared"``, ``backing="mmap"`` assembles each
-        instalment's CSR into disk-backed spill files under ``spill_dir``
-        instead of the heap (see :func:`~repro.rrset.sampler.sample_rr_csr`);
-        extensions inherit the placement.  Like ``storage``/``slab_dir``,
-        never part of the checkpoint content key — placement does not
-        change a single byte of the hyper-graph.
+    storage, slab_dir, backing, spill_dir:
+        Chunk transport and placement of each instalment, forwarded to
+        :func:`~repro.rrset.sampler.sample_rr_csr`; every instalment is
+        appended with :meth:`RRHypergraph.extend_csr`, and extensions
+        inherit a spill-backed placement.  Never part of the checkpoint
+        content key: none of them changes a byte of the hyper-graph, so
+        checkpoints written under one choice resume under another.
     """
     # Function-level imports: repro.core imports repro.rrset at module
     # scope, so the reverse edge must be deferred to call time.
@@ -330,14 +302,6 @@ def adaptive_hypergraph(
         if constraints is not None and constraints.is_trivial(problem.budget):
             constraints = None
 
-    storage_mode = resolve_storage(storage)
-    from repro.utils.spill import resolve_backing
-
-    if resolve_backing(backing) == "mmap" and storage_mode != "shared":
-        raise StorageError(
-            "backing='mmap' requires storage='shared' (the heap transport "
-            "assembles on the coordinator heap)"
-        )
     n = problem.num_nodes
     if n <= 0:
         raise EstimationError("cannot sample RR sets of an empty graph")
@@ -360,7 +324,7 @@ def adaptive_hypergraph(
             )
         key_fields = dict(
             kind="adaptive-v1",
-            problem=_problem_fingerprint(problem),
+            problem=problem_fingerprint(problem),
             seed=int(seed),
             chunk=size,
             schedule=schedule,
@@ -446,61 +410,34 @@ def adaptive_hypergraph(
                 salvaged_fault: Optional[WorkerPoolError] = None
                 with timings.phase("sample"):
                     try:
-                        if storage_mode == "shared":
-                            new_sizes, new_members = sample_rr_csr(
-                                problem.model,
-                                target - built,
-                                seed=root,
-                                deadline=budget_clock,
-                                workers=workers,
-                                chunk_size=chunk_size,
-                                start_at=built,
-                                supervision=supervision,
-                                storage="shared",
-                                slab_dir=slab_dir,
-                                backing=backing,
-                                spill_dir=spill_dir,
-                            )
-                        else:
-                            rr_sets = sample_rr_sets(
-                                problem.model,
-                                target - built,
-                                seed=root,
-                                deadline=budget_clock,
-                                workers=workers,
-                                chunk_size=chunk_size,
-                                start_at=built,
-                                supervision=supervision,
-                            )
+                        new_sizes, new_members = sample_rr_csr(
+                            problem.model,
+                            target - built,
+                            seed=root,
+                            deadline=budget_clock,
+                            workers=workers,
+                            chunk_size=chunk_size,
+                            start_at=built,
+                            supervision=supervision,
+                            storage=storage,
+                            slab_dir=slab_dir,
+                            backing=backing,
+                            spill_dir=spill_dir,
+                        )
                     except WorkerPoolError as exc:
                         if hypergraph is None or hypergraph.num_hyperedges == 0:
                             raise  # nothing completed yet: nothing to salvage
                         salvaged_fault = exc
                     else:
-                        if storage_mode == "shared":
-                            sampled += int(new_sizes.size)
-                            if hypergraph is None:
-                                offsets = np.zeros(
-                                    new_sizes.size + 1, dtype=np.int64
-                                )
-                                np.cumsum(new_sizes, out=offsets[1:])
-                                hypergraph = RRHypergraph.from_csr(
-                                    n, offsets, new_members
-                                )
-                            else:
-                                hypergraph = hypergraph.extend_csr(
-                                    new_sizes, new_members
-                                )
-                                if objective is not None:
-                                    objective.extend(hypergraph)
+                        sampled += int(new_sizes.size)
+                        if hypergraph is None:
+                            hypergraph = RRHypergraph.from_csr(
+                                n, csr_offsets(new_sizes), new_members
+                            )
                         else:
-                            sampled += len(rr_sets)
-                            if hypergraph is None:
-                                hypergraph = RRHypergraph(n, rr_sets)
-                            else:
-                                hypergraph = hypergraph.extend(rr_sets)
-                                if objective is not None:
-                                    objective.extend(hypergraph)
+                            hypergraph = hypergraph.extend_csr(new_sizes, new_members)
+                            if objective is not None:
+                                objective.extend(hypergraph)
                 if salvaged_fault is not None:
                     stop_reason = "fault"
                     metrics.inc("adaptive.salvaged_total")

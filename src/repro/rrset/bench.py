@@ -87,7 +87,7 @@ from repro.graphs.weights import assign_weighted_cascade
 from repro.obs.context import observe
 from repro.obs.metrics import MetricsRegistry
 from repro.rrset.estimator import HypergraphObjective
-from repro.rrset.hypergraph import RRHypergraph
+from repro.rrset.hypergraph import RRHypergraph, csr_offsets
 from repro.rrset.reference import (
     ReferenceObjective,
     reference_coverage,
@@ -952,16 +952,15 @@ def run_scale_benchmark(
             seconds = time.perf_counter() - start
         counters = registry.snapshot()["counters"]
         pickled = int(counters.get("storage.pickled_bytes_total", 0))
-        row_chunks = int(counters.get("storage.slab_chunks_total", 0))
         shared_rows.append(
             {
                 "workers": count,
                 "seconds": seconds,
                 "pickled_bytes": pickled,
-                "pickled_bytes_per_chunk": pickled / max(row_chunks, 1),
+                "pickled_bytes_per_chunk": pickled / max(chunks, 1),
                 "slab_bytes": int(counters.get("storage.slab_bytes_total", 0)),
                 "spill_bytes": int(counters.get("storage.spill_bytes_total", 0)),
-                "chunks": row_chunks,
+                "chunks": chunks,
                 "digest": _digest_csr(sizes, members),
             }
         )
@@ -980,9 +979,7 @@ def run_scale_benchmark(
 
     # -- hypergraph assembly + UD solve on the selected backing ---------
     def build(sizes: np.ndarray, members: np.ndarray) -> RRHypergraph:
-        offsets = np.zeros(sizes.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        return RRHypergraph.from_csr(nodes, offsets, members)
+        return RRHypergraph.from_csr(nodes, csr_offsets(sizes), members)
 
     start = time.perf_counter()
     hg_shared = build(shared_sizes, shared_members)

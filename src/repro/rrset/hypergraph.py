@@ -31,20 +31,40 @@ public accessors (``degrees``, ``coverage``…) are dtype-agnostic;
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.diffusion.base import DiffusionModel
-from repro.exceptions import CheckpointError, EstimationError, StorageError
+from repro.exceptions import CheckpointError, EstimationError
 from repro.obs.context import get_metrics, get_tracer
-from repro.rrset.sampler import sample_rr_csr, sample_rr_sets
-from repro.rrset.storage import DtypePolicy, resolve_storage
+from repro.rrset.sampler import sample_rr_csr
+from repro.rrset.storage import DtypePolicy
 from repro.runtime.deadline import DeadlineLike
 from repro.utils.rng import SeedLike
-from repro.utils.spill import empty_array, is_spill_backed, resolve_backing
+from repro.utils.spill import empty_array, is_spill_backed
 
-__all__ = ["RRHypergraph"]
+__all__ = ["RRHypergraph", "csr_offsets"]
+
+
+def csr_offsets(sizes: np.ndarray) -> np.ndarray:
+    """``int64`` CSR offsets ``[0, cumsum(sizes)...]`` of per-edge sizes."""
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets
+
+
+def _edge_list_csr(rr_sets: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(sizes, members)`` of a list of hyper-edges, members as ``int64``.
+
+    No narrowing happens here: the CSR entry points range-check the
+    ``int64`` stream against ``num_nodes`` before any cast.
+    """
+    members = [np.asarray(h, dtype=np.int64) for h in rr_sets]
+    sizes = np.fromiter((m.size for m in members), dtype=np.int64, count=len(members))
+    if not members:
+        return sizes, np.empty(0, dtype=np.int64)
+    return sizes, np.concatenate(members)
 
 
 class RRHypergraph:
@@ -68,26 +88,29 @@ class RRHypergraph:
     )
 
     def __init__(self, num_nodes: int, rr_sets: Sequence[np.ndarray]) -> None:
-        members = [np.asarray(h, dtype=np.int32) for h in rr_sets]
-        sizes = np.fromiter((m.size for m in members), dtype=np.int64, count=len(members))
-        edge_offsets = np.zeros(len(members) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=edge_offsets[1:])
-        if members:
-            edge_nodes = np.concatenate(members)
-        else:
-            edge_nodes = np.empty(0, dtype=np.int32)
-        self._init_from_csr(num_nodes, edge_offsets, edge_nodes)
+        """The list form of :meth:`from_csr`."""
+        sizes, edge_nodes = _edge_list_csr(rr_sets)
+        self._init_from_csr(num_nodes, csr_offsets(sizes), edge_nodes)
 
     def _init_from_csr(
         self, num_nodes: int, edge_offsets: np.ndarray, edge_nodes: np.ndarray
     ) -> None:
         """Validate CSR arrays, apply the dtype policy, derive the inverted index.
 
-        ``edge_offsets`` must arrive in a signed/ascending-safe dtype
-        (callers pass ``int64``); members may arrive in any integer
-        dtype.  Range validation runs *before* the narrowing cast so an
-        out-of-range id can never wrap into a valid-looking one.
+        Members may arrive in any integer dtype.  Validation runs on an
+        ``int64`` view of the offsets — a wrapped unsigned diff can never
+        masquerade as monotone — and range validation runs *before* the
+        narrowing cast, so an out-of-range id can never wrap into a
+        valid-looking one.
         """
+        edge_nodes = np.asarray(edge_nodes)
+        if edge_nodes.dtype.kind not in "iu":
+            edge_nodes = edge_nodes.astype(np.int64)
+        edge_offsets = np.asarray(edge_offsets).astype(np.int64, copy=False)
+        if edge_offsets.ndim != 1 or edge_offsets.size == 0 or edge_offsets[0] != 0:
+            raise EstimationError("malformed CSR arrays: bad edge_offsets")
+        if int(edge_offsets[-1]) != edge_nodes.size or np.any(np.diff(edge_offsets) < 0):
+            raise EstimationError("malformed CSR arrays: offsets/nodes mismatch")
         if num_nodes <= 0:
             raise EstimationError(f"num_nodes must be positive, got {num_nodes}")
         if edge_nodes.size:
@@ -167,50 +190,27 @@ class RRHypergraph:
         :mod:`repro.parallel.supervisor`); recovered builds are
         bit-identical to fault-free ones.
 
-        ``storage="shared"`` routes worker results through memory-mapped
-        slab files (:mod:`repro.rrset.storage`) instead of pickling the
-        member arrays back — same bits, a fraction of the transfer cost
-        at large ``theta``; ``slab_dir`` overrides where the slabs live.
-
-        ``backing="mmap"`` (shared storage only) assembles the CSR
-        arrays into spill files under ``spill_dir`` instead of the heap,
-        and the derived inverted index follows; the hyper-graph's
-        contents are bit-identical to a heap-backed build.
+        ``storage``/``slab_dir`` choose the chunk transport and
+        ``backing``/``spill_dir`` where the assembled arrays live (see
+        :func:`~repro.rrset.sampler.sample_rr_csr`); a spill-backed
+        member stream carries the derived inverted index with it.  The
+        hyper-graph's contents are bit-identical under every choice.
         """
-        if resolve_backing(backing) == "mmap" and resolve_storage(storage) != "shared":
-            raise StorageError(
-                "backing='mmap' requires storage='shared' (the heap transport "
-                "assembles on the coordinator heap)"
-            )
         with get_tracer().span("hypergraph.build", theta=num_hyperedges) as span:
-            if resolve_storage(storage) == "shared":
-                sizes, members = sample_rr_csr(
-                    model,
-                    num_hyperedges,
-                    seed=seed,
-                    deadline=deadline,
-                    workers=workers,
-                    chunk_size=chunk_size,
-                    supervision=supervision,
-                    storage="shared",
-                    slab_dir=slab_dir,
-                    backing=backing,
-                    spill_dir=spill_dir,
-                )
-                edge_offsets = np.zeros(sizes.size + 1, dtype=np.int64)
-                np.cumsum(sizes, out=edge_offsets[1:])
-                hypergraph = cls.from_csr(model.num_nodes, edge_offsets, members)
-            else:
-                rr_sets = sample_rr_sets(
-                    model,
-                    num_hyperedges,
-                    seed=seed,
-                    deadline=deadline,
-                    workers=workers,
-                    chunk_size=chunk_size,
-                    supervision=supervision,
-                )
-                hypergraph = cls(model.num_nodes, rr_sets)
+            sizes, members = sample_rr_csr(
+                model,
+                num_hyperedges,
+                seed=seed,
+                deadline=deadline,
+                workers=workers,
+                chunk_size=chunk_size,
+                supervision=supervision,
+                storage=storage,
+                slab_dir=slab_dir,
+                backing=backing,
+                spill_dir=spill_dir,
+            )
+            hypergraph = cls.from_csr(model.num_nodes, csr_offsets(sizes), members)
             span.set(
                 num_hyperedges=hypergraph.num_hyperedges,
                 total_members=int(hypergraph.edge_nodes.size),
@@ -223,22 +223,8 @@ class RRHypergraph:
         return hypergraph
 
     def extend(self, rr_sets: Sequence[np.ndarray]) -> "RRHypergraph":
-        """A new hyper-graph with ``rr_sets`` appended as fresh hyper-edges.
-
-        Materializes the batch into a CSR pair and delegates to
-        :meth:`extend_csr` (the slab-assembly path of the adaptive
-        driver uses ``extend_csr`` directly, skipping this per-edge
-        list).
-        """
-        members = [np.asarray(h) for h in rr_sets]
-        new_sizes = np.fromiter(
-            (m.size for m in members), dtype=np.int64, count=len(members)
-        )
-        if members:
-            new_nodes = np.concatenate(members)
-        else:
-            new_nodes = np.empty(0, dtype=np.int64)
-        return self.extend_csr(new_sizes, new_nodes)
+        """The list form of :meth:`extend_csr`: ``rr_sets`` appended."""
+        return self.extend_csr(*_edge_list_csr(rr_sets))
 
     def extend_csr(
         self, new_sizes: np.ndarray, new_nodes: np.ndarray
@@ -264,6 +250,13 @@ class RRHypergraph:
         """
         new_sizes = np.asarray(new_sizes, dtype=np.int64)
         new_nodes = np.asarray(new_nodes)
+        # The adaptive driver's only append path: a malformed batch would
+        # yield offsets past the member stream and an unrestorable
+        # checkpoint, so it is rejected as from_csr rejects one.
+        if new_sizes.ndim != 1 or new_nodes.ndim != 1:
+            raise EstimationError("malformed CSR batch: sizes and nodes must be 1-D")
+        if np.any(new_sizes < 0) or int(new_sizes.sum()) != new_nodes.size:
+            raise EstimationError("malformed CSR batch: sizes/nodes mismatch")
         if new_nodes.size:
             lo, hi = int(new_nodes.min()), int(new_nodes.max())
             if lo < 0 or hi >= self.num_nodes:
@@ -371,19 +364,9 @@ class RRHypergraph:
         normalized to the dtype policy of :mod:`repro.rrset.storage`,
         without copying when the dtypes already match (e.g. a slab
         assembly that sampled straight into the policy's member dtype) —
-        so callers must not mutate them afterwards.  Validation runs on
-        an ``int64`` view of the offsets: a wrapped unsigned diff can
-        never masquerade as monotone.
+        so callers must not mutate them afterwards.
         """
         self = cls.__new__(cls)
-        edge_nodes = np.asarray(edge_nodes)
-        if edge_nodes.dtype.kind not in "iu":
-            edge_nodes = edge_nodes.astype(np.int64)
-        edge_offsets = np.asarray(edge_offsets).astype(np.int64, copy=False)
-        if edge_offsets.ndim != 1 or edge_offsets.size == 0 or edge_offsets[0] != 0:
-            raise EstimationError("malformed CSR arrays: bad edge_offsets")
-        if int(edge_offsets[-1]) != edge_nodes.size or np.any(np.diff(edge_offsets) < 0):
-            raise EstimationError("malformed CSR arrays: offsets/nodes mismatch")
         self._init_from_csr(int(num_nodes), edge_offsets, edge_nodes)
         return self
 

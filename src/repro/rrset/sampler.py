@@ -18,7 +18,8 @@ hyper-graph is therefore bit-identical for any ``workers`` value.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from contextlib import nullcontext
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,15 +29,18 @@ from repro.obs.context import get_metrics, get_tracer
 from repro.parallel.pool import DEFAULT_CHUNK_SIZE, partition_chunks, run_chunks
 from repro.parallel.supervisor import SupervisionLike
 from repro.rrset.storage import (
+    ChunkCSR,
+    SlabRef,
     SlabStore,
+    assemble,
     member_dtype,
-    pickled_size,
+    pack_chunk,
     resolve_storage,
 )
 from repro.runtime.deadline import Deadline, DeadlineLike, as_deadline, deadline_iter
 from repro.utils.rng import SeedLike, child_sequences
 
-__all__ = ["sample_rr_sets", "sample_rr_csr"]
+__all__ = ["sample_rr_csr", "sample_rr_sets"]
 
 
 def _chunk_deadline(remaining: Optional[float]) -> Deadline:
@@ -46,63 +50,41 @@ def _chunk_deadline(remaining: Optional[float]) -> Deadline:
     return Deadline.after(float(remaining))
 
 
-def _sample_chunk(
-    model: DiffusionModel,
+def _rr_chunk_task(
+    payload: Tuple[DiffusionModel, str, Optional[SlabStore]],
+    index: int,
     count: int,
     seed_seq: np.random.SeedSequence,
     roots: Optional[np.ndarray],
     remaining: Optional[float],
-) -> List[np.ndarray]:
-    """Sample one chunk of RR sets — the single shared sampling kernel.
+) -> Union[ChunkCSR, SlabRef]:
+    """Sample one chunk of RR sets — the single sampling kernel.
 
     Roots (when not given) are drawn *before* any cascade so the chunk's
     root choices never depend on how far earlier cascades advanced the
     stream — the layout the checkpoint/resume determinism tests pin down.
     The adaptive-stride deadline polling of
     :func:`~repro.runtime.deadline.deadline_iter` bounds expiry overshoot
-    to roughly one RR set's work even on dense graphs.  Both the heap
-    and the slab chunk tasks call exactly this function, so the two
-    storage modes draw identical streams by construction.
+    to roughly one RR set's work even on dense graphs.
+
+    The chunk leaves as a range-checked :class:`ChunkCSR` pair at the
+    member dtype.  Without a slab ``store`` (heap transport) the pair
+    itself is pickled back; with one (shared transport) it is written to
+    the chunk's slab files and only the ~100-byte
+    :class:`~repro.rrset.storage.SlabRef` receipt crosses the process
+    boundary.  Re-dispatch after a worker crash rewrites byte-identical
+    slabs (same child seed stream), so the overwrite is idempotent.
     """
+    model, dtype, store = payload
     rng = np.random.default_rng(seed_seq)
     if roots is None:
         roots = rng.integers(0, model.num_nodes, size=count)
     budget = _chunk_deadline(remaining)
     rr_sets: List[np.ndarray] = []
-    for index in deadline_iter(count, budget):
-        rr_sets.append(model.sample_rr_set(int(roots[index]), rng))
-    return rr_sets
-
-
-def _rr_chunk_task(
-    model: DiffusionModel,
-    count: int,
-    seed_seq: np.random.SeedSequence,
-    roots: Optional[np.ndarray],
-    remaining: Optional[float],
-) -> List[np.ndarray]:
-    """Heap-storage chunk task: the sampled arrays are pickled back."""
-    return _sample_chunk(model, count, seed_seq, roots, remaining)
-
-
-def _rr_slab_chunk_task(
-    payload: Tuple[DiffusionModel, SlabStore, str],
-    index: int,
-    count: int,
-    seed_seq: np.random.SeedSequence,
-    roots: Optional[np.ndarray],
-    remaining: Optional[float],
-):
-    """Shared-storage chunk task: results land in the chunk's slab files.
-
-    Only the returned :class:`~repro.rrset.storage.SlabRef` (a ~100-byte
-    receipt) crosses the process boundary.  Re-dispatch after a worker
-    crash rewrites byte-identical slabs (same child seed stream), so the
-    overwrite is idempotent; see :mod:`repro.rrset.storage`.
-    """
-    model, store, dtype = payload
-    rr_sets = _sample_chunk(model, count, seed_seq, roots, remaining)
-    return store.write_chunk(index, rr_sets, dtype)
+    for position in deadline_iter(count, budget):
+        rr_sets.append(model.sample_rr_set(int(roots[position]), rng))
+    chunk = pack_chunk(rr_sets, dtype, index)
+    return chunk if store is None else store.write_chunk(index, *chunk)
 
 
 def _sampling_plan(
@@ -115,10 +97,10 @@ def _sampling_plan(
 ):
     """Validate the request and lay out the deterministic chunk plan.
 
-    Returns ``(sizes, chunk_args)`` with one ``(size, sequence, roots)``
-    tuple per chunk, or ``None`` for an empty request.  Shared by the
-    heap and slab sampling entry points so both execute the *same* plan
-    (identical chunk boundaries and child seed streams).
+    Returns ``(sizes, chunk_args)`` with one ``(index, size, sequence,
+    roots)`` tuple per chunk, or ``None`` for an empty request.  Both
+    transports execute this *same* plan (identical chunk boundaries and
+    child seed streams).
     """
     if count < 0:
         raise EstimationError(f"count must be non-negative, got {count}")
@@ -146,14 +128,14 @@ def _sampling_plan(
     sequences = child_sequences(seed, start_at // size, len(sizes))
     chunk_args = []
     offset = 0
-    for size, sequence in zip(sizes, sequences):
+    for index, (size, sequence) in enumerate(zip(sizes, sequences)):
         chunk_roots = None if root_arr is None else root_arr[offset : offset + size]
-        chunk_args.append((size, sequence, chunk_roots))
+        chunk_args.append((index, size, sequence, chunk_roots))
         offset += size
     return sizes, chunk_args
 
 
-def sample_rr_sets(
+def sample_rr_csr(
     model: DiffusionModel,
     count: int,
     seed: SeedLike = None,
@@ -163,8 +145,18 @@ def sample_rr_sets(
     chunk_size: Optional[int] = None,
     start_at: int = 0,
     supervision: "SupervisionLike" = None,
-) -> List[np.ndarray]:
-    """Generate ``count`` random RR sets.
+    storage: Optional[str] = None,
+    slab_dir=None,
+    backing: Optional[str] = None,
+    spill_dir=None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Generate ``count`` random RR sets as a CSR pair ``(sizes, members)``.
+
+    The result is the flat form the hyper-graph stores: ``int64``
+    per-edge sizes and the member stream in the dtype policy's member
+    width (see :mod:`repro.rrset.storage`).  Edge ``i`` is
+    ``members[sum(sizes[:i]) : sum(sizes[:i + 1])]`` and always contains
+    its root.
 
     Parameters
     ----------
@@ -174,7 +166,8 @@ def sample_rr_sets(
         Number of hyper-edges ``theta`` to generate.
     seed:
         RNG seed (int / Generator / SeedSequence / None).  For a fixed
-        seed the output is identical for every ``workers`` value.
+        seed the output is identical for every ``workers``, ``storage``
+        and ``backing`` value.
     roots:
         Optional explicit poll roots (length ``count``); default draws roots
         uniformly from ``V`` — the distribution required for the unbiased
@@ -208,26 +201,53 @@ def sample_rr_sets(
     supervision:
         Pool recovery policy (see :mod:`repro.parallel.supervisor`);
         never changes the sampled sets of a run that completes.
-
-    Returns
-    -------
-    List of int64 arrays; each contains the nodes of one hyper-edge
-    (its root is always included).  The list is shorter than ``count``
-    only when the deadline expired.
+    storage, slab_dir:
+        The chunk transport.  ``"heap"`` (default) pickles each chunk's
+        CSR pair back through the pool.  ``"shared"`` writes it into a
+        memory-mapped slab pair under a per-run :class:`SlabStore`
+        directory (``slab_dir`` or ``REPRO_SLAB_DIR`` or ``/dev/shm``)
+        and pickles only a ~100-byte receipt; at large ``theta`` this
+        removes the dominant transfer cost of pooled sampling.  The
+        ``storage.*`` metrics record each transport's pickle volume,
+        which ``python -m repro.rrset.bench --scale`` reports as
+        bytes-pickled-per-chunk.
+    backing, spill_dir:
+        Where the *assembled* arrays live, under either transport:
+        ``"heap"``/``None`` allocates ordinary arrays, ``"mmap"`` copies
+        the chunks straight into spill files under ``spill_dir`` (or
+        ``REPRO_SPILL_DIR`` or the system temp dir).  Only the shared
+        transport also keeps the chunks themselves off the coordinator
+        heap, so only it bounds the coordinator's resident set
+        independently of ``theta``.
     """
+    from repro.utils.spill import peak_rss_mb, resolve_backing
+
+    mode = resolve_storage(storage)
+    backing_mode = resolve_backing(backing)
+    dtype = member_dtype(model.num_nodes)
     plan = _sampling_plan(model, count, seed, roots, chunk_size, start_at)
     if plan is None:
-        return []
-    sizes, chunk_args = plan
-
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=dtype)
+    planned_sizes, chunk_args = plan
     budget = as_deadline(deadline)
     metrics = get_metrics()
-    with get_tracer().span(
-        "rrset.sample", theta=count, chunks=len(sizes), start_at=start_at
+    tracer = get_tracer()
+    # The transport is the one storage choice: a slab store for "shared",
+    # none for "heap".  Everything below is the same for both.
+    store = SlabStore.create(slab_dir) if mode == "shared" else None
+    with store or nullcontext(), tracer.span(
+        "rrset.sample",
+        theta=count,
+        chunks=len(planned_sizes),
+        start_at=start_at,
+        storage=mode,
     ) as span:
+        # The slab path is random per run: a runtime note, not an
+        # attribute, so canonical traces repeat exactly.
+        span.note(slab_dir=store and store.directory)
         chunks, expired = run_chunks(
             _rr_chunk_task,
-            model,
+            (model, dtype.str, store),
             chunk_args,
             workers=workers,
             deadline=budget,
@@ -237,23 +257,44 @@ def sample_rr_sets(
         # Chunk events come off the ordered results list, never from
         # completion order, so traces stay identical across worker counts.
         for index, chunk in enumerate(chunks):
-            span.event("chunk", index=index, planned=sizes[index], produced=len(chunk))
-            metrics.observe("rrset.chunk_items", len(chunk))
-        rr_sets = [rr for chunk in chunks for rr in chunk]
-        span.set(produced=len(rr_sets), truncated=expired)
+            span.event(
+                "chunk", index=index, planned=planned_sizes[index], produced=chunk.count
+            )
+            metrics.observe("rrset.chunk_items", chunk.count)
+        with tracer.span(
+            "storage.assemble", chunks=len(chunks), backing=backing_mode
+        ) as assemble_span:
+            sizes, members = assemble(
+                chunks, dtype, store=store, backing=backing_mode, spill_dir=spill_dir
+            )
+            assemble_span.set(
+                produced=int(sizes.size),
+                total_members=int(members.size),
+                slab_bytes=int(members.nbytes + sizes.nbytes),
+            )
+            # The high-water mark differs run to run: a runtime note, so
+            # neither traces nor metrics snapshots lose their determinism.
+            assemble_span.note(peak_rss_mb=peak_rss_mb())
+        produced = int(sizes.size)
+        span.set(produced=produced, truncated=expired)
         metrics.inc("rrset.requested_total", count)
-        metrics.inc("rrset.sampled_total", len(rr_sets))
+        metrics.inc("rrset.sampled_total", produced)
         # Total member count = the width of the CSR stream the hyper-graph
         # build will allocate; BENCH_cd.json reports it alongside timings.
-        metrics.inc("rrset.nodes_sampled_total", sum(rr.size for rr in rr_sets))
+        metrics.inc("rrset.nodes_sampled_total", int(members.size))
+        metrics.inc("storage.slab_bytes_total", sum(c.slab_bytes for c in chunks))
+        metrics.inc(
+            "storage.pickled_bytes_total", sum(c.pickled_bytes for c in chunks)
+        )
+        metrics.inc("storage.assemblies_total")
         if expired:
             metrics.inc("rrset.truncated_total")
-        if not rr_sets:
+        if produced == 0:
             budget.check("sampling the first RR set")
-    return rr_sets
+    return sizes, members
 
 
-def sample_rr_csr(
+def sample_rr_sets(
     model: DiffusionModel,
     count: int,
     seed: SeedLike = None,
@@ -263,150 +304,24 @@ def sample_rr_csr(
     chunk_size: Optional[int] = None,
     start_at: int = 0,
     supervision: "SupervisionLike" = None,
-    storage: Optional[str] = None,
-    slab_dir=None,
-    backing: Optional[str] = None,
-    spill_dir=None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Generate ``count`` RR sets directly as a CSR pair ``(sizes, members)``.
+) -> List[np.ndarray]:
+    """:func:`sample_rr_csr` (heap transport) as a list of ``int64`` arrays.
 
-    Same parameters, plan and streams as :func:`sample_rr_sets` — for a
-    fixed seed the concatenated output is bit-identical across worker
-    counts *and* storage modes — but the result is the flat form the
-    hyper-graph stores: ``int64`` per-edge sizes and the member stream in
-    the dtype policy's member width (see :mod:`repro.rrset.storage`).
-
-    ``storage`` selects the transport:
-
-    * ``"heap"`` (default) — chunks pickle their sampled arrays back to
-      the coordinator (the classic path), which concatenates and casts.
-    * ``"shared"`` — each chunk writes its members into a disjoint
-      memory-mapped slab file under a per-run :class:`SlabStore`
-      directory (``slab_dir`` or ``REPRO_SLAB_DIR`` or ``/dev/shm``),
-      and only a ~100-byte receipt is pickled; the coordinator assembles
-      the CSR arrays straight from the slabs and removes them.  At large
-      ``theta`` this removes the dominant transfer cost of pooled
-      sampling.
-
-    The ``storage.*`` metrics record the actual pickle volume of each
-    mode, which ``python -m repro.rrset.bench --scale`` reports as
-    bytes-pickled-per-chunk.
-
-    ``backing`` selects where the *assembled* CSR arrays live:
-    ``"heap"``/``None`` allocates ordinary arrays, ``"mmap"`` (shared
-    storage only) copies slab contents straight into spill files under
-    ``spill_dir`` (or ``REPRO_SPILL_DIR`` or the system temp dir), so
-    the coordinator's resident set stays independent of ``theta``.
-    Contents are bit-identical either way.
+    A view for callers that want one array per hyper-edge: same
+    parameters, plan, streams, span and metrics.  The list is shorter
+    than ``count`` only when the deadline expired.
     """
-    from repro.utils.spill import peak_rss_mb, resolve_backing
-
-    mode = resolve_storage(storage)
-    backing_mode = resolve_backing(backing)
-    if backing_mode == "mmap" and mode != "shared":
-        from repro.exceptions import StorageError
-
-        raise StorageError(
-            "backing='mmap' requires storage='shared' (heap transport "
-            "concatenates on the coordinator heap)"
-        )
-    dtype = member_dtype(model.num_nodes)
-    metrics = get_metrics()
-
-    if mode == "heap":
-        rr_sets = sample_rr_sets(
-            model,
-            count,
-            seed=seed,
-            roots=roots,
-            deadline=deadline,
-            workers=workers,
-            chunk_size=chunk_size,
-            start_at=start_at,
-            supervision=supervision,
-        )
-        sizes = np.fromiter(
-            (rr.size for rr in rr_sets), dtype=np.int64, count=len(rr_sets)
-        )
-        if rr_sets:
-            members = np.concatenate(rr_sets).astype(dtype, copy=False)
-        else:
-            members = np.empty(0, dtype=dtype)
-        # What the member arrays cost (or would cost, inline) on the
-        # pickle channel: their full sampled width, 8 bytes per member.
-        metrics.inc(
-            "storage.pickled_bytes_total", int(sum(rr.nbytes for rr in rr_sets))
-        )
-        metrics.inc("storage.heap_samples_total")
-        return sizes, members
-
-    plan = _sampling_plan(model, count, seed, roots, chunk_size, start_at)
-    if plan is None:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=dtype),
-        )
-    planned_sizes, base_args = plan
-    chunk_args = [
-        (index, *args) for index, args in enumerate(base_args)
-    ]
-    budget = as_deadline(deadline)
-    store = SlabStore.create(slab_dir)
-    try:
-        with get_tracer().span(
-            "rrset.sample_csr",
-            theta=count,
-            chunks=len(planned_sizes),
-            start_at=start_at,
-            storage="shared",
-            slab_dir=store.directory,
-        ) as span:
-            refs, expired = run_chunks(
-                _rr_slab_chunk_task,
-                (model, store, np.dtype(dtype).str),
-                chunk_args,
-                workers=workers,
-                deadline=budget,
-                inject_site="sampler.chunk",
-                supervision=supervision,
-            )
-            pickled = 0
-            for index, ref in enumerate(refs):
-                pickled += pickled_size(ref)
-                span.event(
-                    "chunk",
-                    index=index,
-                    planned=planned_sizes[index],
-                    produced=ref.count,
-                )
-                metrics.observe("rrset.chunk_items", ref.count)
-            with get_tracer().span(
-                "storage.assemble", chunks=len(refs), backing=backing_mode
-            ) as assemble_span:
-                sizes, members = store.assemble(
-                    refs, dtype, backing=backing_mode, spill_dir=spill_dir
-                )
-                assemble_span.set(
-                    produced=int(sizes.size),
-                    total_members=int(members.size),
-                    slab_bytes=int(members.nbytes + sizes.nbytes),
-                )
-            rss = peak_rss_mb()
-            if rss is not None:
-                metrics.set_gauge("storage.peak_rss_mb", rss)
-            produced = int(sizes.size)
-            span.set(produced=produced, truncated=expired)
-            metrics.inc("rrset.requested_total", count)
-            metrics.inc("rrset.sampled_total", produced)
-            metrics.inc("rrset.nodes_sampled_total", int(members.size))
-            metrics.inc("storage.slab_chunks_total", len(refs))
-            metrics.inc("storage.slab_bytes_total", int(members.nbytes))
-            metrics.inc("storage.pickled_bytes_total", pickled)
-            metrics.inc("storage.assemblies_total")
-            if expired:
-                metrics.inc("rrset.truncated_total")
-            if produced == 0:
-                budget.check("sampling the first RR set")
-    finally:
-        store.cleanup()
-    return sizes, members
+    sizes, members = sample_rr_csr(
+        model,
+        count,
+        seed=seed,
+        roots=roots,
+        deadline=deadline,
+        workers=workers,
+        chunk_size=chunk_size,
+        start_at=start_at,
+        supervision=supervision,
+    )
+    stream = members.astype(np.int64)
+    bounds = np.cumsum(sizes).tolist()
+    return [stream[end - size : end] for size, end in zip(sizes.tolist(), bounds)]

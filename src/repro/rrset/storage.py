@@ -19,18 +19,20 @@ for each CSR array of an :class:`~repro.rrset.hypergraph.RRHypergraph`:
 The capacity caps are module globals so tests can shrink them and
 exercise the uint32 boundary without allocating 4G-element arrays.
 
-**Shared-memory slabs.**  A :class:`SlabStore` gives each chunk of the
-deterministic sampling plan (:func:`repro.parallel.pool.partition_chunks`)
-a disjoint pair of ``.npy`` slab files — one for the chunk's member
-stream, one for its RR-set sizes — under a directory on ``/dev/shm``
-(tmpfs) when available.  Workers write their chunk's slabs and return
-only a tiny picklable :class:`SlabRef`; the coordinator assembles the
-full CSR arrays by copying each slab (memory-mapped, zero pickling of
-member arrays) into its pre-computed extent.  Because chunk ``i`` always
-samples child stream ``i`` of the root seed, slab contents are a pure
-function of the plan: a re-dispatched or straggler duplicate chunk
-rewrites byte-identical slabs, so last-writer-wins is safe and recovered
-builds stay bit-identical (see :mod:`repro.parallel.supervisor`).
+**Chunk transport.**  Each chunk of the deterministic sampling plan
+(:func:`repro.parallel.pool.partition_chunks`) is packed into a
+:class:`ChunkCSR` pair by :func:`pack_chunk` and reaches the coordinator
+by one of two transports.  The heap transport pickles the pair back.
+The shared transport writes it into a :class:`SlabStore` — a disjoint
+pair of ``.npy`` slab files per chunk, under a directory on
+``/dev/shm`` (tmpfs) when available — and returns only a tiny picklable
+:class:`SlabRef`.  Either way :func:`assemble` copies the chunks, in
+plan order, into the final CSR arrays (on the heap or in spill files,
+under either transport).  Because chunk ``i`` always samples child
+stream ``i`` of the root seed, slab contents are a pure function of the
+plan: a re-dispatched or straggler duplicate chunk rewrites
+byte-identical slabs, so last-writer-wins is safe and recovered builds
+stay bit-identical (see :mod:`repro.parallel.supervisor`).
 
 Slab writes are torn-write-safe: each file lands via ``os.replace`` and
 the members file is renamed *before* the sizes file, so a slab with both
@@ -44,11 +46,12 @@ slab.
 from __future__ import annotations
 
 import os
+import pickle
 import shutil
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -74,11 +77,13 @@ __all__ = [
     "edge_id_dtype",
     "offset_dtype",
     "DtypePolicy",
+    "ChunkCSR",
+    "pack_chunk",
     "SlabRef",
     "SlabStore",
+    "assemble",
     "resolve_storage",
     "resolve_backing",
-    "pickled_size",
 ]
 
 #: ``--storage`` values accepted across the library.
@@ -157,6 +162,64 @@ def resolve_storage(storage: Optional[str]) -> str:
     return mode
 
 
+class ChunkCSR(NamedTuple):
+    """One chunk's RR sets as a CSR pair: the unit both transports move.
+
+    ``sizes`` holds the ``int64`` RR-set sizes and ``members`` the member
+    stream in the policy's member dtype.  The heap transport pickles this
+    pair back to the coordinator; the shared transport writes it to a
+    slab and pickles a :class:`SlabRef` instead.  Both expose the same
+    ``count``/``total_members``/``pickled_bytes``/``slab_bytes``
+    accounting, so the coordinator's bookkeeping never asks which
+    transport ran.
+    """
+
+    sizes: np.ndarray
+    members: np.ndarray
+
+    #: Bytes this chunk left in slab files: none, it travelled by pickle.
+    slab_bytes = 0
+
+    @property
+    def count(self) -> int:
+        return int(self.sizes.size)
+
+    @property
+    def total_members(self) -> int:
+        return int(self.members.size)
+
+    @property
+    def pickled_bytes(self) -> int:
+        """The array buffers, which dominate the pair's pickle (measuring
+        by re-pickling would copy them)."""
+        return int(self.sizes.nbytes + self.members.nbytes)
+
+
+def pack_chunk(
+    rr_sets: Sequence[np.ndarray], dtype: Union[str, np.dtype], index: int = 0
+) -> ChunkCSR:
+    """Concatenate one chunk's RR sets into a :class:`ChunkCSR` at ``dtype``.
+
+    The member stream is range-checked *before* the narrowing cast — a
+    silent wraparound here would corrupt the hyper-graph undetectably
+    (wrapped ids look valid downstream).  ``index`` names the chunk in
+    the error.
+    """
+    target = np.dtype(dtype)
+    sizes = np.fromiter(map(len, rr_sets), dtype=np.int64, count=len(rr_sets))
+    if not rr_sets:
+        return ChunkCSR(sizes, np.empty(0, dtype=target))
+    members = np.concatenate(rr_sets)
+    if members.size:
+        lo, hi = int(members.min()), int(members.max())
+        if lo < 0 or hi >= 1 << (8 * target.itemsize):
+            raise StorageError(
+                f"chunk {index}: member id {lo if lo < 0 else hi} does not fit "
+                f"member dtype {target.name}"
+            )
+    return ChunkCSR(sizes, members.astype(target, copy=False))
+
+
 @dataclass(frozen=True)
 class SlabRef:
     """A worker's receipt for one written chunk slab.
@@ -171,6 +234,14 @@ class SlabRef:
     total_members: int  #: member-stream length of this chunk
     member_dtype: str  #: numpy dtype string of the members slab
     stem: str  #: slab file stem, relative to the store directory
+
+    @property
+    def slab_bytes(self) -> int:
+        return self.total_members * np.dtype(self.member_dtype).itemsize
+
+    @property
+    def pickled_bytes(self) -> int:
+        return len(pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def _atomic_save(path: Path, array: np.ndarray) -> None:
@@ -236,20 +307,17 @@ class SlabStore:
     # worker side
     # ------------------------------------------------------------------
     def write_chunk(
-        self, index: int, rr_sets: Sequence[np.ndarray], dtype: Union[str, np.dtype]
+        self, index: int, sizes: np.ndarray, members: np.ndarray
     ) -> SlabRef:
-        """Write one chunk's RR sets into its slab pair; return the receipt.
+        """Write one chunk's CSR pair into its slab pair; return the receipt.
 
-        The member stream is range-checked against ``dtype`` *before* the
-        narrowing cast — a silent wraparound here would corrupt the
-        hyper-graph undetectably (wrapped ids look valid downstream).
-        Members land first, sizes second, both via ``os.replace``; the
-        receipt is only returned after both renames, so a ref in hand
-        means a complete slab.  Re-executions (supervisor re-dispatch,
-        stragglers) rewrite byte-identical content, making the overwrite
-        idempotent.
+        The pair arrives already range-checked and cast by
+        :func:`pack_chunk`.  Members land first, sizes second, both via
+        ``os.replace``; the receipt is only returned after both renames,
+        so a ref in hand means a complete slab.  Re-executions
+        (supervisor re-dispatch, stragglers) rewrite byte-identical
+        content, making the overwrite idempotent.
         """
-        target = np.dtype(dtype)
         stem = self._stem(index)
         members_path = self.members_path(stem)
         # A members file already on disk means a previous attempt died
@@ -257,30 +325,9 @@ class SlabStore:
         # finished rewrite): this execution is attempt > 0 for the
         # mid-write fault probe, so default chaos schedules let it pass.
         attempt = 1 if members_path.exists() else 0
-        sizes = np.fromiter(
-            (m.size for m in rr_sets), dtype=np.int64, count=len(rr_sets)
-        )
-        # Range-check each RR set, then copy it straight into a buffer
-        # already at the slab dtype.  Concatenating at the sets' native
-        # int64 first and casting after would double the worker's peak
-        # memory per chunk (an int64 staging copy next to the narrow
-        # result); copy-with-cast into the narrow buffer needs only the
-        # result.
-        stream = np.empty(int(sizes.sum()), dtype=target)
-        limit = 1 << (8 * target.itemsize)
-        cursor = 0
-        for members in rr_sets:
-            members = np.asarray(members)
-            if members.size:
-                hi = int(members.max())
-                if int(members.min()) < 0 or hi >= limit:
-                    raise StorageError(
-                        f"chunk {index}: member id {hi} does not fit slab dtype "
-                        f"{target.name}"
-                    )
-            stream[cursor : cursor + members.size] = members
-            cursor += members.size
-        _atomic_save(members_path, stream)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        members = np.asarray(members)
+        _atomic_save(members_path, members)
         if attempt == 0:
             maybe_inject("storage.slab_write")
         maybe_inject_process("storage.slab_write", index, attempt)
@@ -288,17 +335,15 @@ class SlabStore:
         return SlabRef(
             index=int(index),
             count=int(sizes.size),
-            total_members=int(stream.size),
-            member_dtype=target.str,
+            total_members=int(members.size),
+            member_dtype=members.dtype.str,
             stem=stem,
         )
 
     # ------------------------------------------------------------------
     # coordinator side
     # ------------------------------------------------------------------
-    def read_chunk(
-        self, ref: SlabRef, mmap: bool = True
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def read_chunk(self, ref: SlabRef, mmap: bool = True) -> ChunkCSR:
         """Load one slab pair as ``(sizes, members)``; cross-checked."""
         try:
             members = np.load(
@@ -313,70 +358,7 @@ class SlabStore:
             raise StorageError(
                 f"chunk {ref.index}: torn slab (sizes/members mismatch)"
             )
-        return sizes, members
-
-    def assemble(
-        self,
-        refs: Sequence[SlabRef],
-        dtype: Union[str, np.dtype],
-        out: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-        backing: Optional[str] = None,
-        spill_dir: Union[str, Path, None] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Concatenate chunk slabs, in plan order, into final CSR inputs.
-
-        Returns ``(sizes, members)``: ``int64`` RR-set sizes and the
-        member stream in ``dtype``.  Each slab is memory-mapped and
-        copied straight into its extent of the pre-allocated output —
-        one pass, no intermediate list, no pickling.
-
-        The destination is chosen by ``out``/``backing``: pass
-        ``out=(sizes, members)`` to fill caller-owned arrays (they must
-        match the totals and dtypes exactly), or ``backing="mmap"`` to
-        allocate both destinations as spill files under ``spill_dir``
-        (resolution: arg > ``REPRO_SPILL_DIR`` > system temp) so slab
-        contents never transit the coordinator heap.  The default,
-        ``backing=None``/``"heap"``, keeps the classic in-heap arrays.
-        Contents are bit-identical in every mode.
-        """
-        target = np.dtype(dtype)
-        total_edges = sum(ref.count for ref in refs)
-        total_members = sum(ref.total_members for ref in refs)
-        if out is not None:
-            sizes, members = out
-            if sizes.shape != (total_edges,) or sizes.dtype != np.int64:
-                raise StorageError(
-                    f"assemble out sizes must be int64[{total_edges}], got "
-                    f"{sizes.dtype}{list(sizes.shape)}"
-                )
-            if members.shape != (total_members,) or members.dtype != target:
-                raise StorageError(
-                    f"assemble out members must be {target.name}"
-                    f"[{total_members}], got {members.dtype}{list(members.shape)}"
-                )
-        else:
-            sizes = empty_array(
-                total_edges, np.int64, backing=backing, spill_dir=spill_dir,
-                name_hint="rr-sizes",
-            )
-            members = empty_array(
-                total_members, target, backing=backing, spill_dir=spill_dir,
-                name_hint="rr-members",
-            )
-        edge_at = 0
-        member_at = 0
-        for ref in refs:
-            chunk_sizes, chunk_members = self.read_chunk(ref)
-            if chunk_members.dtype != target:
-                raise StorageError(
-                    f"chunk {ref.index}: slab dtype {chunk_members.dtype} != "
-                    f"assembly dtype {target}"
-                )
-            sizes[edge_at : edge_at + chunk_sizes.size] = chunk_sizes
-            members[member_at : member_at + chunk_members.size] = chunk_members
-            edge_at += chunk_sizes.size
-            member_at += chunk_members.size
-        return sizes, members
+        return ChunkCSR(sizes, members)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -392,8 +374,67 @@ class SlabStore:
         self.cleanup()
 
 
-def pickled_size(ref: SlabRef) -> int:
-    """Bytes this receipt costs on the worker→coordinator pickle channel."""
-    import pickle
+def assemble(
+    chunks: Sequence[Union[ChunkCSR, SlabRef]],
+    dtype: Union[str, np.dtype],
+    store: Optional[SlabStore] = None,
+    out: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    backing: Optional[str] = None,
+    spill_dir: Union[str, Path, None] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Concatenate chunk CSR pairs, in plan order, into final CSR inputs.
 
-    return len(pickle.dumps(ref, protocol=pickle.HIGHEST_PROTOCOL))
+    ``chunks`` are the results of either transport: :class:`ChunkCSR`
+    pairs already on the coordinator (heap transport, ``store=None``),
+    or :class:`SlabRef` receipts that ``store`` reads back one
+    memory-mapped slab at a time (shared transport).  Returns
+    ``(sizes, members)``: ``int64`` RR-set sizes and the member stream
+    in ``dtype``.  Each chunk is copied straight into its extent of the
+    pre-allocated output — one pass, no intermediate list.
+
+    The destination is chosen by ``out``/``backing``, independently of
+    the transport: pass ``out=(sizes, members)`` to fill caller-owned
+    arrays (they must match the totals and dtypes exactly), or
+    ``backing="mmap"`` to allocate both destinations as spill files
+    under ``spill_dir`` (resolution: arg > ``REPRO_SPILL_DIR`` > system
+    temp).  The default, ``backing=None``/``"heap"``, keeps in-heap
+    arrays.  Contents are bit-identical in every mode.
+    """
+    target = np.dtype(dtype)
+    total_edges = sum(chunk.count for chunk in chunks)
+    total_members = sum(chunk.total_members for chunk in chunks)
+    if out is not None:
+        sizes, members = out
+        if sizes.shape != (total_edges,) or sizes.dtype != np.int64:
+            raise StorageError(
+                f"assemble out sizes must be int64[{total_edges}], got "
+                f"{sizes.dtype}{list(sizes.shape)}"
+            )
+        if members.shape != (total_members,) or members.dtype != target:
+            raise StorageError(
+                f"assemble out members must be {target.name}"
+                f"[{total_members}], got {members.dtype}{list(members.shape)}"
+            )
+    else:
+        sizes = empty_array(
+            total_edges, np.int64, backing=backing, spill_dir=spill_dir,
+            name_hint="rr-sizes",
+        )
+        members = empty_array(
+            total_members, target, backing=backing, spill_dir=spill_dir,
+            name_hint="rr-members",
+        )
+    edge_at = 0
+    member_at = 0
+    for index, chunk in enumerate(chunks):
+        chunk_sizes, chunk_members = chunk if store is None else store.read_chunk(chunk)
+        if chunk_members.dtype != target:
+            raise StorageError(
+                f"chunk {index}: member dtype {chunk_members.dtype} != "
+                f"assembly dtype {target}"
+            )
+        sizes[edge_at : edge_at + chunk_sizes.size] = chunk_sizes
+        members[member_at : member_at + chunk_members.size] = chunk_members
+        edge_at += chunk_sizes.size
+        member_at += chunk_members.size
+    return sizes, members

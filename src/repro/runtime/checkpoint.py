@@ -43,7 +43,7 @@ import numpy as np
 from repro.exceptions import CheckpointError
 from repro.obs.context import get_metrics
 
-__all__ = ["CheckpointStore", "content_key"]
+__all__ = ["CheckpointStore", "content_key", "problem_fingerprint"]
 
 PathLike = Union[str, Path]
 
@@ -97,6 +97,28 @@ def content_key(**parts) -> str:
     """
     blob = json.dumps(_canonical(parts), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
+
+
+def problem_fingerprint(problem) -> Dict[str, object]:
+    """The content of a problem that keys its checkpoints.
+
+    The graph's CSR arrays, the budget, and the curve responses on a
+    fixed grid — which pin down the population without needing every
+    curve class to be individually hashable.  Shared by the experiment
+    runner and the adaptive sampling driver, so both key the same
+    problem identically.
+    """
+    graph = problem.graph
+    return {
+        "num_nodes": problem.num_nodes,
+        "num_edges": graph.num_edges,
+        "out_offsets": graph.out_offsets,
+        "out_targets": graph.out_targets,
+        "out_probs": graph.out_probs,
+        "budget": float(problem.budget),
+        "curves": problem.population.probabilities_at(0.25),
+        "curves_hi": problem.population.probabilities_at(0.75),
+    }
 
 
 class CheckpointStore:

@@ -16,7 +16,7 @@ from repro.graphs.generators import erdos_renyi
 from repro.graphs.weights import assign_weighted_cascade
 from repro.rrset.hypergraph import RRHypergraph
 from repro.rrset.sampler import sample_rr_csr
-from repro.rrset.storage import SlabStore
+from repro.rrset.storage import SlabStore, pack_chunk
 from repro.runtime import FaultInjector
 
 
@@ -80,12 +80,12 @@ class TestWorkerKillMidSlabWrite:
         """The attempt-detection contract `write_chunk` relies on."""
         store = SlabStore.create(tmp_path)
         try:
-            rr_sets = [np.array([3, 1]), np.array([2])]
-            first = store.write_chunk(0, rr_sets, np.uint8)
+            chunk = pack_chunk([np.array([3, 1]), np.array([2])], np.uint8)
+            first = store.write_chunk(0, *chunk)
             # Simulate the mid-write crash: sizes half missing.
             store.sizes_path(first.stem).unlink()
             # The rewrite (a re-dispatched attempt) completes the pair.
-            second = store.write_chunk(0, rr_sets, np.uint8)
+            second = store.write_chunk(0, *chunk)
             assert second == first
             sizes, members = store.read_chunk(second)
             assert sizes.tolist() == [2, 1]

@@ -15,7 +15,7 @@ from repro.experiments.runner import run_methods
 from repro.obs.context import observe
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
-from repro.rrset.sampler import sample_rr_sets
+from repro.rrset.sampler import sample_rr_csr, sample_rr_sets
 from repro.runtime import Deadline, ManualClock
 
 WORKER_COUNTS = (1, 2, 4)
@@ -82,6 +82,47 @@ class TestSamplerTelemetry:
             if reference is None:
                 reference = observed
             assert observed == reference, f"workers={workers} diverged under expiry"
+
+
+class TestTransportTelemetry:
+    """Both transports emit one ``rrset.sample`` span whose canonical form
+    repeats exactly: across repeat runs and at workers 1 and 2.  The
+    shared transport's random slab directory is a runtime note only."""
+
+    @pytest.mark.parametrize("storage", ["heap", "shared"])
+    def test_canonical_trace_repeats_across_runs_and_workers(self, obs_problem, storage):
+        reference = None
+        for workers in (1, 1, 2, 2):
+            observed = _observed(
+                lambda w=workers: sample_rr_csr(
+                    obs_problem.model,
+                    150,
+                    seed=7,
+                    workers=w,
+                    chunk_size=CHUNK,
+                    storage=storage,
+                )
+            )
+            if reference is None:
+                reference = observed
+            assert observed == reference, f"{storage} workers={workers} diverged"
+        forest, snapshot = reference
+        (root,) = forest
+        assert root["name"] == "rrset.sample"
+        assert root["attrs"]["storage"] == storage
+        assert "slab_dir" not in root["attrs"]
+        assert [child["name"] for child in root["children"]] == ["storage.assemble"]
+        assert snapshot["counters"]["rrset.sampled_total"] == 150
+        assert snapshot["counters"]["storage.assemblies_total"] == 1
+
+    def test_slab_dir_is_a_runtime_note(self, obs_problem, tmp_path):
+        tracer = Tracer()
+        with observe(tracer=tracer, metrics=MetricsRegistry(), merge_up=False):
+            sample_rr_csr(
+                obs_problem.model, 64, seed=7, storage="shared", slab_dir=tmp_path
+            )
+        (root,) = tracer.roots
+        assert str(tmp_path) in root.runtime["slab_dir"]
 
 
 class TestSolveTelemetry:

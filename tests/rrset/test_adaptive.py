@@ -393,6 +393,58 @@ class TestAutoWiring:
         assert result.extras["warm_start"] == "ud"
         assert result.configuration.cost <= adaptive_problem.budget + 1e-9
 
+    def test_solve_auto_same_hypergraph_under_both_transports(
+        self, adaptive_problem, monkeypatch
+    ):
+        """The adaptive driver samples every instalment through
+        ``sample_rr_csr`` — one ``rrset.sample`` span each, whose
+        ``storage`` attribute names the transport — and grows the same
+        hyper-graph under either transport."""
+        from repro.obs.context import observe
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.tracer import Tracer
+        from repro.rrset import adaptive as adaptive_mod
+
+        grown = {}
+        driver = adaptive_mod.adaptive_hypergraph
+
+        def spy(*args, **kwargs):
+            outcome = driver(*args, **kwargs)
+            grown[kwargs["storage"]] = outcome
+            return outcome
+
+        monkeypatch.setattr(adaptive_mod, "adaptive_hypergraph", spy)
+
+        def spans(nodes, name):
+            for node in nodes:
+                if node["name"] == name:
+                    yield node
+                yield from spans(node["children"], name)
+
+        plans = {}
+        for storage in ("heap", "shared"):
+            tracer = Tracer()
+            with observe(tracer=tracer, metrics=MetricsRegistry(), merge_up=False):
+                plans[storage] = solve(
+                    adaptive_problem,
+                    "cd",
+                    num_hyperedges="auto",
+                    seed=SEED,
+                    workers=2,
+                    storage=storage,
+                    adaptive={"max_theta": 1024, "epsilon": 0.2},
+                )
+            samples = list(spans(tracer.canonical(), "rrset.sample"))
+            assert len(samples) == len(grown[storage].stages)
+            assert {span["attrs"]["storage"] for span in samples} == {storage}
+        assert _hypergraph_digest(grown["heap"].hypergraph) == _hypergraph_digest(
+            grown["shared"].hypergraph
+        )
+        assert np.array_equal(
+            plans["heap"].configuration.discounts,
+            plans["shared"].configuration.discounts,
+        )
+
     def test_solve_auto_other_methods_share_graph(self, adaptive_problem):
         result = solve(
             adaptive_problem,

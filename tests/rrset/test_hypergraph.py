@@ -44,6 +44,39 @@ class TestConstruction:
         assert hg.num_hyperedges == 0
         assert hg.degree(0) == 0
 
+    def test_list_constructor_rejects_ids_that_would_wrap(self):
+        # 2**32 + 3 wraps to 3 under a 32-bit cast; the list form must
+        # range-check the full-width ids, exactly as from_csr does.
+        rr_sets = [np.array([2**32 + 3]), np.array([1])]
+        with pytest.raises(EstimationError, match="hyper-edge 0"):
+            RRHypergraph(10, rr_sets)
+        with pytest.raises(EstimationError, match="hyper-edge 0"):
+            RRHypergraph.from_csr(10, np.array([0, 1, 2]), np.concatenate(rr_sets))
+
+
+class TestExtendCsrValidation:
+    """``extend_csr`` rejects a malformed batch as ``from_csr`` would."""
+
+    def test_sizes_overcounting_members_rejected(self):
+        # Offsets would end at 8 over 5 members: hyperedge(3) reads empty
+        # and the arrays no longer round-trip through a checkpoint.
+        with pytest.raises(EstimationError, match="malformed CSR batch"):
+            RRHypergraph(10, [[0, 1], [2]]).extend_csr([2, 3], [3, 4])
+
+    def test_sizes_undercounting_members_rejected(self):
+        with pytest.raises(EstimationError, match="malformed CSR batch"):
+            RRHypergraph(10, [[0, 1], [2]]).extend_csr([1], [3, 4, 5])
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(EstimationError, match="malformed CSR batch"):
+            RRHypergraph(10, [[0, 1], [2]]).extend_csr([-1, 3], [3, 4])
+
+    def test_well_formed_batch_round_trips(self):
+        extended = RRHypergraph(10, [[0, 1], [2]]).extend_csr([2, 1], [3, 4, 5])
+        restored = RRHypergraph.from_arrays(extended.to_arrays())
+        assert restored.num_hyperedges == 4
+        assert restored.hyperedge(3).tolist() == [5]
+
 
 class TestIncidence:
     def test_incident_edges(self):

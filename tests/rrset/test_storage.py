@@ -6,6 +6,8 @@ and torn-slab detection, and the headline contract: shared-slab sampling
 is bit-identical to heap sampling at every worker count.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,10 +22,11 @@ from repro.rrset.storage import (
     DtypePolicy,
     SlabRef,
     SlabStore,
+    assemble,
     member_dtype,
     edge_id_dtype,
     offset_dtype,
-    pickled_size,
+    pack_chunk,
     resolve_storage,
 )
 
@@ -32,6 +35,11 @@ def _model(n=40, p=0.1, seed=1):
     return IndependentCascade(
         assign_weighted_cascade(erdos_renyi(n, p, seed=seed), alpha=1.0)
     )
+
+
+def _write(store, index, rr_sets, dtype):
+    """The shared chunk task's write path: pack, then write the slab pair."""
+    return store.write_chunk(index, *pack_chunk(rr_sets, dtype, index))
 
 
 class TestDtypePolicy:
@@ -91,7 +99,7 @@ class TestSlabStore:
     def test_round_trip(self, tmp_path):
         rr_sets = [np.array([0, 3, 5]), np.array([2]), np.array([], dtype=np.int64)]
         with SlabStore.create(tmp_path) as store:
-            ref = store.write_chunk(0, rr_sets, np.uint8)
+            ref = _write(store, 0, rr_sets, np.uint8)
             assert ref.count == 3
             assert ref.total_members == 4
             sizes, members = store.read_chunk(ref)
@@ -102,36 +110,41 @@ class TestSlabStore:
     def test_assemble_plan_order(self, tmp_path):
         with SlabStore.create(tmp_path) as store:
             refs = [
-                store.write_chunk(0, [np.array([1, 2])], np.uint8),
-                store.write_chunk(1, [np.array([3]), np.array([4, 5])], np.uint8),
+                _write(store, 0, [np.array([1, 2])], np.uint8),
+                _write(store, 1, [np.array([3]), np.array([4, 5])], np.uint8),
             ]
-            sizes, members = store.assemble(refs, np.uint8)
+            sizes, members = assemble(refs, np.uint8, store=store)
         assert sizes.tolist() == [2, 1, 2]
         assert sizes.dtype == np.int64
         assert members.tolist() == [1, 2, 3, 4, 5]
 
     def test_ref_pickles_small(self, tmp_path):
         with SlabStore.create(tmp_path) as store:
-            ref = store.write_chunk(0, [np.arange(10_000)], np.uint32)
-            assert pickled_size(ref) < 1024
+            ref = _write(store, 0, [np.arange(10_000)], np.uint32)
+            assert ref.pickled_bytes < 1024
 
     def test_write_range_checked_before_cast(self, tmp_path):
+        # 300 would wrap to 44 in uint8; the chunk must fail before any
+        # slab lands.  Negative ids are caught the same way.
         with SlabStore.create(tmp_path) as store:
-            with pytest.raises(StorageError):
-                store.write_chunk(0, [np.array([0, 300])], np.uint8)
+            with pytest.raises(StorageError, match="chunk 3: member id 300"):
+                _write(store, 3, [np.array([0, 300])], np.uint8)
+            with pytest.raises(StorageError, match="member id -1"):
+                _write(store, 0, [np.array([2]), np.array([-1])], np.uint32)
+            assert list(Path(store.directory).iterdir()) == []
 
     def test_rewrite_is_idempotent(self, tmp_path):
         rr_sets = [np.array([7, 1]), np.array([4])]
         with SlabStore.create(tmp_path) as store:
-            first = store.write_chunk(2, rr_sets, np.uint8)
+            first = _write(store, 2, rr_sets, np.uint8)
             raw = store.members_path(first.stem).read_bytes()
-            second = store.write_chunk(2, rr_sets, np.uint8)
+            second = _write(store, 2, rr_sets, np.uint8)
             assert first == second
             assert store.members_path(second.stem).read_bytes() == raw
 
     def test_torn_slab_detected(self, tmp_path):
         with SlabStore.create(tmp_path) as store:
-            ref = store.write_chunk(0, [np.array([1, 2, 3])], np.uint8)
+            ref = _write(store, 0, [np.array([1, 2, 3])], np.uint8)
             # Corrupt the sizes half so the cross-check trips.
             np.save(store.sizes_path(ref.stem), np.array([5], dtype=np.int64))
             with pytest.raises(StorageError):
@@ -147,9 +160,9 @@ class TestSlabStore:
 
     def test_assemble_dtype_mismatch_detected(self, tmp_path):
         with SlabStore.create(tmp_path) as store:
-            ref = store.write_chunk(0, [np.array([1])], np.uint8)
+            ref = _write(store, 0, [np.array([1])], np.uint8)
             with pytest.raises(StorageError):
-                store.assemble([ref], np.uint32)
+                assemble([ref], np.uint32, store=store)
 
     def test_cleanup_twice_is_safe(self, tmp_path):
         store = SlabStore.create(tmp_path)
@@ -238,8 +251,8 @@ class TestAssembleBacking:
 
     def _refs(self, store):
         return [
-            store.write_chunk(0, [np.array([1, 2])], np.uint8),
-            store.write_chunk(1, [np.array([3]), np.array([4, 5])], np.uint8),
+            _write(store, 0, [np.array([1, 2])], np.uint8),
+            _write(store, 1, [np.array([3]), np.array([4, 5])], np.uint8),
         ]
 
     def test_mmap_backing_matches_heap(self, tmp_path):
@@ -247,9 +260,9 @@ class TestAssembleBacking:
 
         with SlabStore.create(tmp_path) as store:
             refs = self._refs(store)
-            heap_sizes, heap_members = store.assemble(refs, np.uint8)
-            mm_sizes, mm_members = store.assemble(
-                refs, np.uint8, backing="mmap", spill_dir=tmp_path
+            heap_sizes, heap_members = assemble(refs, np.uint8, store=store)
+            mm_sizes, mm_members = assemble(
+                refs, np.uint8, store=store, backing="mmap", spill_dir=tmp_path
             )
         assert np.array_equal(heap_sizes, mm_sizes)
         assert np.array_equal(heap_members, mm_members)
@@ -263,8 +276,8 @@ class TestAssembleBacking:
             refs = self._refs(store)
             sizes = np.empty(3, dtype=np.int64)
             members = np.empty(5, dtype=np.uint8)
-            got_sizes, got_members = store.assemble(
-                refs, np.uint8, out=(sizes, members)
+            got_sizes, got_members = assemble(
+                refs, np.uint8, store=store, out=(sizes, members)
             )
         assert got_sizes is sizes
         assert got_members is members
@@ -275,15 +288,17 @@ class TestAssembleBacking:
         with SlabStore.create(tmp_path) as store:
             refs = self._refs(store)
             with pytest.raises(StorageError):
-                store.assemble(
+                assemble(
                     refs,
                     np.uint8,
+                    store=store,
                     out=(np.empty(2, dtype=np.int64), np.empty(5, dtype=np.uint8)),
                 )
             with pytest.raises(StorageError):
-                store.assemble(
+                assemble(
                     refs,
                     np.uint8,
+                    store=store,
                     out=(np.empty(3, dtype=np.int64), np.empty(5, dtype=np.uint32)),
                 )
 
@@ -291,7 +306,7 @@ class TestAssembleBacking:
         with SlabStore.create(tmp_path) as store:
             refs = self._refs(store)
             with pytest.raises(StorageError):
-                store.assemble(refs, np.uint8, backing="shm")
+                assemble(refs, np.uint8, store=store, backing="shm")
 
     def test_sample_rr_csr_mmap_backing_bit_identical(self, tmp_path):
         from repro.utils.spill import is_spill_backed
@@ -314,7 +329,32 @@ class TestAssembleBacking:
         assert np.array_equal(heap_members, mm_members)
         assert is_spill_backed(mm_members)
 
-    def test_mmap_backing_requires_shared_storage(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_heap_transport_mmap_backing_matches_shared(self, tmp_path, workers):
+        """Placement is independent of the transport: heap chunks assemble
+        into spill files bit-identically to shared slabs."""
+        from repro.utils.spill import is_spill_backed
+
         model = _model()
-        with pytest.raises(StorageError):
-            sample_rr_csr(model, 64, seed=1, storage="heap", backing="mmap")
+        shared = sample_rr_csr(
+            model, 400, seed=13, workers=workers, storage="shared", slab_dir=tmp_path
+        )
+        heap_mm = sample_rr_csr(
+            model,
+            400,
+            seed=13,
+            workers=workers,
+            storage="heap",
+            backing="mmap",
+            spill_dir=tmp_path,
+        )
+        for left, right in zip(shared, heap_mm):
+            assert left.dtype == right.dtype
+            assert np.array_equal(left, right)
+            assert is_spill_backed(right)
+        built = RRHypergraph.build(
+            model, 400, seed=13, workers=workers, backing="mmap", spill_dir=tmp_path
+        )
+        assert is_spill_backed(built.edge_nodes)
+        assert is_spill_backed(built.node_edges)
+        assert np.array_equal(built.edge_nodes, shared[1])
