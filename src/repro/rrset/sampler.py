@@ -80,9 +80,14 @@ def _rr_chunk_task(
     if roots is None:
         roots = rng.integers(0, model.num_nodes, size=count)
     budget = _chunk_deadline(remaining)
-    rr_sets: List[np.ndarray] = []
-    for position in deadline_iter(count, budget):
-        rr_sets.append(model.sample_rr_set(int(roots[position]), rng))
+    # The per-set loop is the hot path: index Python-int roots and call a
+    # bound method, not numpy scalars and an attribute lookup per set.
+    root_ids = roots.tolist()
+    sample = model.sample_rr_set
+    rr_sets = [
+        sample(root_ids[position], rng)
+        for position in deadline_iter(count, budget)
+    ]
     chunk = pack_chunk(rr_sets, dtype, index)
     return chunk if store is None else store.write_chunk(index, *chunk)
 
