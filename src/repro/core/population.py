@@ -36,19 +36,21 @@ class CurvePopulation:
         if not curves:
             raise CurveError("population must contain at least one curve")
         self._curves: List[SeedProbabilityCurve] = list(curves)
-        for index, curve in enumerate(self._curves):
-            if not isinstance(curve, SeedProbabilityCurve):
-                raise CurveError(
-                    f"node {index}: expected SeedProbabilityCurve, got {type(curve).__name__}"
-                )
-            curve.validate()
-        # Group node ids by curve identity for vectorized evaluation.
+        # Group node ids by curve identity for vectorized evaluation; each
+        # distinct curve object is validated once, at its first node.
         groups: Dict[int, List[int]] = {}
         self._group_curves: Dict[int, SeedProbabilityCurve] = {}
         for node, curve in enumerate(self._curves):
+            if not isinstance(curve, SeedProbabilityCurve):
+                raise CurveError(
+                    f"node {node}: expected SeedProbabilityCurve, got {type(curve).__name__}"
+                )
             key = id(curve)
-            groups.setdefault(key, []).append(node)
-            self._group_curves[key] = curve
+            if key not in groups:
+                curve.validate()
+                groups[key] = []
+                self._group_curves[key] = curve
+            groups[key].append(node)
         self._groups = {key: np.asarray(nodes, dtype=np.int64) for key, nodes in groups.items()}
 
     # ------------------------------------------------------------------

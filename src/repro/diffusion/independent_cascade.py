@@ -13,7 +13,10 @@ Forward cascades and reverse RR sampling are array-based BFS loops: the
 frontier is a growing ``int64`` buffer, visitation is a reusable ``uint8``
 stamp array (stamped with a per-call epoch so it never needs clearing), and
 each node's coin flips are one vectorized ``rng.random(deg) < probs``
-comparison.
+comparison.  Both kernels read plain ``ndarray`` views of the graph's CSR
+arrays, taken once per call: on a spill-backed graph those arrays are
+``np.memmap`` instances, and every per-node slice of one would go through
+the subclass's Python-level ``__getitem__``.
 """
 
 from __future__ import annotations
@@ -52,7 +55,9 @@ class IndependentCascade(DiffusionModel):
         activated = list(seeds.tolist())
         stamp[seeds] = epoch
         head = 0
-        offsets, targets, probs = graph.out_offsets, graph.out_targets, graph.out_probs
+        offsets, targets, probs = map(
+            np.asarray, (graph.out_offsets, graph.out_targets, graph.out_probs)
+        )
         while head < len(activated):
             u = activated[head]
             head += 1
@@ -88,7 +93,9 @@ class IndependentCascade(DiffusionModel):
         reached = [root]
         stamp[root] = epoch
         head = 0
-        offsets, sources, probs = graph.in_offsets, graph.in_sources, graph.in_probs
+        offsets, sources, probs = map(
+            np.asarray, (graph.in_offsets, graph.in_sources, graph.in_probs)
+        )
         while head < len(reached):
             v = reached[head]
             head += 1

@@ -67,7 +67,10 @@ class LinearThreshold(DiffusionModel):
         activated = list(seeds.tolist())
         stamp[seeds] = epoch
         head = 0
-        offsets, targets, probs = graph.out_offsets, graph.out_targets, graph.out_probs
+        # Plain views, as in the IC kernels: no per-node memmap slicing.
+        offsets, targets, probs = map(
+            np.asarray, (graph.out_offsets, graph.out_targets, graph.out_probs)
+        )
         while head < len(activated):
             u = activated[head]
             head += 1
@@ -96,7 +99,9 @@ class LinearThreshold(DiffusionModel):
         reached = [root]
         stamp[root] = epoch
         current = root
-        offsets, sources, probs = graph.in_offsets, graph.in_sources, graph.in_probs
+        offsets, sources, probs = map(
+            np.asarray, (graph.in_offsets, graph.in_sources, graph.in_probs)
+        )
         while True:
             lo, hi = int(offsets[current]), int(offsets[current + 1])
             if lo == hi:

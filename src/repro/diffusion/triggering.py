@@ -80,10 +80,19 @@ class TriggeringModel(DiffusionModel):
         self._epoch += 1
         return self._epoch
 
-    def _draw_trigger_set(self, node: int, rng: np.random.Generator) -> np.ndarray:
+    def _in_views(self) -> tuple:
+        """Plain views of the in-CSR arrays, taken once per cascade: as in
+        the IC kernels, per-node slices of a spill-backed graph's memmaps
+        would each go through the subclass's Python-level ``__getitem__``."""
         graph = self.graph
-        lo, hi = graph.in_offsets[node], graph.in_offsets[node + 1]
-        return self._sampler(node, graph.in_sources[lo:hi], graph.in_probs[lo:hi], rng)
+        return tuple(map(np.asarray, (graph.in_offsets, graph.in_sources, graph.in_probs)))
+
+    def _draw_trigger_set(
+        self, node: int, rng: np.random.Generator, in_csr: tuple
+    ) -> np.ndarray:
+        offsets, sources, probs = in_csr
+        lo, hi = offsets[node], offsets[node + 1]
+        return self._sampler(node, sources[lo:hi], probs[lo:hi], rng)
 
     def sample_cascade(self, seeds: Sequence[int], rng: np.random.Generator) -> np.ndarray:
         """One forward cascade.
@@ -101,17 +110,21 @@ class TriggeringModel(DiffusionModel):
         activated = list(seeds.tolist())
         stamp[seeds] = epoch
         head = 0
-        graph = self.graph
+        offsets = np.asarray(self.graph.out_offsets)
+        targets = np.asarray(self.graph.out_targets)
+        in_csr = self._in_views()
         while head < len(activated):
             u = activated[head]
             head += 1
-            lo, hi = int(graph.out_offsets[u]), int(graph.out_offsets[u + 1])
+            lo, hi = int(offsets[u]), int(offsets[u + 1])
             for idx in range(lo, hi):
-                v = int(graph.out_targets[idx])
+                v = int(targets[idx])
                 if stamp[v] == epoch:
                     continue
                 if v not in trigger_sets:
-                    trigger_sets[v] = frozenset(self._draw_trigger_set(v, rng).tolist())
+                    trigger_sets[v] = frozenset(
+                        self._draw_trigger_set(v, rng, in_csr).tolist()
+                    )
                 if u in trigger_sets[v]:
                     stamp[v] = epoch
                     activated.append(v)
@@ -128,10 +141,11 @@ class TriggeringModel(DiffusionModel):
         reached = [root]
         stamp[root] = epoch
         head = 0
+        in_csr = self._in_views()
         while head < len(reached):
             v = reached[head]
             head += 1
-            for u in self._draw_trigger_set(v, rng):
+            for u in self._draw_trigger_set(v, rng, in_csr):
                 u = int(u)
                 if stamp[u] != epoch:
                     stamp[u] = epoch

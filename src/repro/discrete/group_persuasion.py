@@ -76,7 +76,7 @@ def group_persuasion(
         raise SolverError(
             f"persuasion_probabilities must have length n={hypergraph.num_nodes}"
         )
-    if np.any(probs < 0.0) or np.any(probs > 1.0):
+    if np.any(probs < 0.0) or np.any(probs > 1.0) or np.any(np.isnan(probs)):
         raise SolverError("persuasion probabilities must lie in [0, 1]")
     if budget <= 0.0:
         raise SolverError(f"budget must be positive, got {budget}")

@@ -10,10 +10,13 @@ O(n) (degree/offset vectors) plus one O(chunk) transient, regardless of
 edge count:
 
 1. **Stub spill.**  ``np.repeat(arange(n), degrees)`` is written chunk
-   by chunk into a file-backed array, then shuffled in place.
-   ``Generator.shuffle`` consumes the identical random stream for a
-   memmap as for a heap array (it depends only on the length), so the
-   shuffled content is bit-identical to the heap path's.
+   by chunk into a file-backed array, then shuffled in place through a
+   plain ``ndarray`` view of the same buffer (``Generator.shuffle`` on
+   the ``np.memmap`` subclass itself goes through one Python-level
+   ``memmap.__getitem__`` per element).  The shuffle consumes the
+   identical random stream for a file-backed buffer as for a heap array
+   (it depends only on the length), so the shuffled content is
+   bit-identical to the heap path's.
 2. **Key spill.**  Pair the two stub halves chunkwise, drop self-loops,
    encode ``u*n+v`` (plus the reversed key when undirected) into a
    second spill file.  The heap path emits forward keys then reversed
@@ -231,7 +234,7 @@ def streaming_configuration_csr(
     """
     bucket_entries = BUCKET_ENTRIES if bucket_entries is None else int(bucket_entries)
     stubs = _write_stub_spill(n, degrees, spill_dir, chunk)
-    rng.shuffle(stubs)
+    rng.shuffle(stubs.view(np.ndarray))
     keys, key_count = _write_key_spill(stubs, n, directed, spill_dir, chunk)
     del stubs
     sorted_keys, num_edges = _sort_unique_spill(

@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import repeat
 from typing import List
 
 import numpy as np
 
 from repro.exceptions import SolverError
+from repro.obs.context import get_metrics
 from repro.rrset.hypergraph import RRHypergraph
 
 __all__ = ["CoverageResult", "max_coverage", "weighted_max_coverage"]
@@ -85,7 +87,7 @@ def weighted_max_coverage(
         raise SolverError(
             f"node_probs must have length n={hypergraph.num_nodes}, got {node_probs.shape}"
         )
-    if np.any(node_probs < 0.0) or np.any(node_probs > 1.0):
+    if np.any(node_probs < 0.0) or np.any(node_probs > 1.0) or np.any(np.isnan(node_probs)):
         raise SolverError("node_probs must lie in [0, 1]")
     if k < 0:
         raise SolverError(f"k must be non-negative, got {k}")
@@ -94,22 +96,41 @@ def weighted_max_coverage(
         candidates = np.arange(hypergraph.num_nodes, dtype=np.int64)
     else:
         candidates = np.asarray(candidates, dtype=np.int64)
+        out_of_range = candidates[(candidates < 0) | (candidates >= hypergraph.num_nodes)]
+        if out_of_range.size:
+            raise IndexError(f"node {int(out_of_range[0])} out of range")
 
+    # Plain views, taken once: per-node slices of a spill-backed
+    # hyper-graph's np.memmap attributes would each go through the
+    # subclass's Python-level __getitem__.
+    node_offsets = np.asarray(hypergraph.node_offsets)
+    node_edges = np.asarray(hypergraph.node_edges)
     survival = np.ones(hypergraph.num_hyperedges, dtype=np.float64)
 
     def gain_of(node: int) -> float:
-        edges = hypergraph.incident_edges(node)
+        edges = node_edges[node_offsets[node] : node_offsets[node + 1]]
         if edges.size == 0:
             return 0.0
         return float(node_probs[node] * survival[edges].sum())
 
-    # CELF priority queue: (-gain, stale_round, node).
-    heap = [(-gain_of(int(u)), -1, int(u)) for u in candidates]
+    # CELF priority queue: (-gain, stale_round, node).  With survival
+    # still all ones, gain_of(u) is q_u * deg_H(u) exactly (a float sum
+    # of ones is exact), so every initial gain is one vector expression.
+    # A candidate whose initial gain is zero can never be selected (gains
+    # only shrink and the loop stops at the first non-positive one), so
+    # it never enters the heap.
+    initial = node_probs[candidates] * hypergraph.degrees()[candidates]
+    positive = initial > 0.0
+    heap = list(
+        zip((-initial[positive]).tolist(), repeat(-1), candidates[positive].tolist())
+    )
     heapq.heapify(heap)
+    seeded = len(heap)
 
     seeds: List[int] = []
     gains: List[float] = []
     round_index = 0
+    lazy_evals = 0
     selected = np.zeros(hypergraph.num_nodes, dtype=bool)
     while len(seeds) < k and heap:
         neg_gain, stamp, node = heapq.heappop(heap)
@@ -117,6 +138,7 @@ def weighted_max_coverage(
             continue
         if stamp != round_index:
             fresh = gain_of(node)
+            lazy_evals += 1
             heapq.heappush(heap, (-fresh, round_index, node))
             continue
         gain = -neg_gain
@@ -125,10 +147,13 @@ def weighted_max_coverage(
         seeds.append(node)
         gains.append(gain)
         selected[node] = True
-        edges = hypergraph.incident_edges(node)
+        edges = node_edges[node_offsets[node] : node_offsets[node + 1]]
         survival[edges] *= 1.0 - node_probs[node]
         round_index += 1
 
+    metrics = get_metrics()
+    metrics.inc("coverage.heap_seeded_total", seeded)
+    metrics.inc("coverage.lazy_evals_total", lazy_evals)
     covered = float((1.0 - survival).sum())
     theta = hypergraph.num_hyperedges
     spread = hypergraph.num_nodes * covered / theta if theta else 0.0

@@ -34,6 +34,27 @@ class TestConstruction:
 
             CurvePopulation([Bad()])
 
+    def test_invalid_curve_on_last_node_rejected(self):
+        class Bad(LinearCurve):
+            def _evaluate(self, c):
+                return 0.5 * c
+
+        with pytest.raises(CurveError, match="p\\(1\\) must be 1"):
+            CurvePopulation([LinearCurve()] * 50 + [Bad()])
+
+    def test_each_distinct_curve_validated_once(self, monkeypatch):
+        calls = []
+        original = LinearCurve.validate
+
+        def counting(self):
+            calls.append(id(self))
+            return original(self)
+
+        monkeypatch.setattr(LinearCurve, "validate", counting)
+        first, second = LinearCurve(), LinearCurve()
+        CurvePopulation([first, second, first, second, first] * 40)
+        assert sorted(calls) == sorted([id(first), id(second)])
+
 
 class TestMixture:
     def test_paper_mixture_counts(self):

@@ -100,3 +100,10 @@ class TestGroupPersuasion:
             group_persuasion(hypergraph, [[999]], probs, budget=5.0)
         with pytest.raises(SolverError):
             group_persuasion(hypergraph, groups, probs, budget=5.0, group_costs=[1.0])
+
+    def test_nan_probability_rejected(self, gp_setup):
+        _, hypergraph, groups, probs = gp_setup
+        bad = probs.copy()
+        bad[0] = np.nan
+        with pytest.raises(SolverError, match="must lie in"):
+            group_persuasion(hypergraph, groups, bad, budget=5.0)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import SolverError
+from repro.obs.context import observe
+from repro.obs.metrics import MetricsRegistry
 from repro.rrset.coverage import max_coverage, weighted_max_coverage
 from repro.rrset.hypergraph import RRHypergraph
 
@@ -105,6 +107,17 @@ class TestWeightedMaxCoverage:
         with pytest.raises(SolverError):
             weighted_max_coverage(hg, np.array([0.5, 1.5, 0.5]), 1)
 
+    def test_nan_probability_rejected(self):
+        hg = RRHypergraph(4, [[0, 1], [2]])
+        with pytest.raises(SolverError, match="must lie in"):
+            weighted_max_coverage(hg, np.array([np.nan, 0.5, 0.5, 0.5]), 2)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_candidate_raises_index_error(self, bad):
+        hg = hypergraph_with_obvious_winner()
+        with pytest.raises(IndexError, match=f"node {bad} out of range"):
+            weighted_max_coverage(hg, np.ones(3), 1, candidates=np.array([1, bad, 2]))
+
     def test_candidate_restriction(self):
         hg = hypergraph_with_obvious_winner()
         result = weighted_max_coverage(hg, np.ones(3), 1, candidates=np.array([1, 2]))
@@ -132,3 +145,20 @@ class TestWeightedMaxCoverage:
             chosen.append(best)
             survival[hg.incident_edges(best)] *= 1.0 - probs[best]
         assert lazy.seeds == chosen
+
+
+class TestCelfCounters:
+    def test_counters_record_seeded_candidates_and_lazy_evals(self):
+        # Node 3 has q=0 and node 4 is in no hyper-edge: neither is seeded.
+        hg = RRHypergraph(5, [[0, 1], [0, 2], [1, 2], [3]])
+        probs = np.array([1.0, 1.0, 0.5, 0.0, 1.0])
+        metrics = MetricsRegistry()
+        with observe(metrics=metrics, merge_up=False):
+            result = weighted_max_coverage(hg, probs, 2)
+        counters = metrics.snapshot()["counters"]
+        assert counters["coverage.heap_seeded_total"] == 3
+        # Seeded entries are stale (round -1).  Round 0 re-evaluates the
+        # tied nodes 0 and 1, then selects 0; round 1 re-evaluates 1 and
+        # 2, then selects 1.
+        assert result.seeds == [0, 1]
+        assert counters["coverage.lazy_evals_total"] == 4
