@@ -40,7 +40,6 @@ from repro.rrset.estimator import HypergraphObjective
 from repro.rrset.hypergraph import RRHypergraph
 from repro.rrset.reference import ReferenceObjective
 from repro.runtime.deadline import DeadlineLike, as_deadline
-from repro.utils.timing import TimingBreakdown
 
 __all__ = ["HypergraphCDResult", "coordinate_descent_hypergraph"]
 
@@ -59,7 +58,6 @@ class HypergraphCDResult:
     #: is the feasible incumbent at that moment (never worse than the
     #: warm start — pair steps only ever improve the objective).
     deadline_expired: bool = False
-    timings: TimingBreakdown = field(default_factory=TimingBreakdown)
 
 
 def _gradient_ordered_pairs(
@@ -187,7 +185,6 @@ def coordinate_descent_hypergraph(
         raise SolverError(f"unknown objective kernel {kernel!r}")
     objective_cls = HypergraphObjective if kernel == "vectorized" else ReferenceObjective
 
-    timings = TimingBreakdown()
     population = problem.population
     discounts = initial.discounts.copy()
     if objective is not None:
@@ -218,7 +215,6 @@ def coordinate_descent_hypergraph(
             objective_value=current_value,
             round_values=round_values,
             converged=True,
-            timings=timings,
         )
 
     if pair_strategy not in ("cyclic", "gradient", "lazy"):
@@ -314,7 +310,7 @@ def coordinate_descent_hypergraph(
         max_rounds=max_rounds,
         pair_strategy=pair_strategy,
         kernel=kernel,
-    ) as span, timings.phase("descent"):
+    ) as span:
         for _ in range(max_rounds):
             rounds_run += 1
             round_start_value = current_value
@@ -402,7 +398,6 @@ def coordinate_descent_hypergraph(
         pair_updates=pair_updates,
         converged=converged,
         deadline_expired=expired,
-        timings=timings,
     )
 
 

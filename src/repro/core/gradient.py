@@ -53,7 +53,6 @@ from repro.obs.context import get_metrics, get_tracer
 from repro.rrset.estimator import HypergraphObjective
 from repro.rrset.hypergraph import RRHypergraph
 from repro.runtime.deadline import DeadlineLike, as_deadline
-from repro.utils.timing import TimingBreakdown
 
 __all__ = [
     "GradientResult",
@@ -105,7 +104,6 @@ class GradientResult:
     #: ``sum_u c_u`` actually spent — may be < B (budget saving).
     budget_spent: float = 0.0
     projection_seconds: float = 0.0
-    timings: TimingBreakdown = field(default_factory=TimingBreakdown)
 
 
 def project_capped_simplex(x: np.ndarray, budget: float) -> np.ndarray:
@@ -431,7 +429,6 @@ def projected_gradient_ascent(
             # enters through its projection onto the feasible set.
             discounts = constraints.project(discounts)
             objective.set_probabilities(population.probabilities(discounts))
-    timings = TimingBreakdown()
     metrics = get_metrics()
     tracer = get_tracer()
     chord = _chord_slopes(population, problem.num_nodes)
@@ -466,7 +463,7 @@ def projected_gradient_ascent(
         engine="hypergraph",
         max_steps=max_steps,
         step_size=step_size,
-    ) as span, timings.phase("ascent"):
+    ) as span:
         current_value = evaluate(discounts)
         step_values = [current_value]
         state_matches = True  # objective probabilities == p(discounts)
@@ -572,7 +569,6 @@ def projected_gradient_ascent(
         duality_gap=float(duality_gap),
         budget_spent=float(discounts.sum()),
         projection_seconds=projection_seconds,
-        timings=timings,
     )
 
 
@@ -630,7 +626,6 @@ def frank_wolfe(
         if not constraints.is_satisfied(discounts):
             discounts = constraints.project(discounts)
             objective.set_probabilities(population.probabilities(discounts))
-    timings = TimingBreakdown()
     metrics = get_metrics()
     tracer = get_tracer()
     chord = _chord_slopes(population, problem.num_nodes)
@@ -653,7 +648,7 @@ def frank_wolfe(
 
     with tracer.span(
         "solver.fw", engine="hypergraph", max_steps=max_steps
-    ) as span, timings.phase("descent"):
+    ) as span:
         current_value = evaluate(discounts)
         step_values = [current_value]
         state_matches = True
@@ -764,5 +759,4 @@ def frank_wolfe(
         fw_gap=float(fw_gap),
         budget_spent=float(discounts.sum()),
         projection_seconds=lmo_seconds,
-        timings=timings,
     )

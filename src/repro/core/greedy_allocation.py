@@ -22,7 +22,7 @@ compare it directly against UD / CD.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -32,7 +32,6 @@ from repro.core.problem import CIMProblem
 from repro.exceptions import SolverError
 from repro.rrset.estimator import HypergraphObjective
 from repro.rrset.hypergraph import RRHypergraph
-from repro.utils.timing import TimingBreakdown
 
 __all__ = ["GreedyAllocationResult", "greedy_allocation"]
 
@@ -44,7 +43,6 @@ class GreedyAllocationResult:
     configuration: Configuration
     objective_value: float
     increments: int
-    timings: TimingBreakdown = field(default_factory=TimingBreakdown)
 
 
 def greedy_allocation(
@@ -65,7 +63,6 @@ def greedy_allocation(
         raise SolverError(f"delta must lie in (0, 1], got {delta}")
     population = problem.population
     n = problem.num_nodes
-    timings = TimingBreakdown()
 
     discounts = np.zeros(n)
     objective = HypergraphObjective(hypergraph, np.zeros(n))
@@ -80,30 +77,28 @@ def greedy_allocation(
         probability_jump = float(curve(next_c)) - float(curve(c))
         return probability_jump * objective.gradient_coordinate(node)
 
-    with timings.phase("greedy"):
-        heap = [(-gain_of(u), -1, u) for u in range(n)]
-        heapq.heapify(heap)
-        spent_increments = 0
-        version = 0
-        while spent_increments < total_increments and heap:
-            neg_gain, stamp, node = heapq.heappop(heap)
-            if stamp != version:
-                heapq.heappush(heap, (-gain_of(node), version, node))
-                continue
-            if -neg_gain <= tolerance:
-                break
-            new_c = min(1.0, discounts[node] + delta)
-            discounts[node] = new_c
-            objective.set_probability(node, float(population.curve(node)(new_c)))
-            spent_increments += 1
-            version += 1
-            if discounts[node] < 1.0 - 1e-12:
-                heapq.heappush(heap, (-gain_of(node), version, node))
+    heap = [(-gain_of(u), -1, u) for u in range(n)]
+    heapq.heapify(heap)
+    spent_increments = 0
+    version = 0
+    while spent_increments < total_increments and heap:
+        neg_gain, stamp, node = heapq.heappop(heap)
+        if stamp != version:
+            heapq.heappush(heap, (-gain_of(node), version, node))
+            continue
+        if -neg_gain <= tolerance:
+            break
+        new_c = min(1.0, discounts[node] + delta)
+        discounts[node] = new_c
+        objective.set_probability(node, float(population.curve(node)(new_c)))
+        spent_increments += 1
+        version += 1
+        if discounts[node] < 1.0 - 1e-12:
+            heapq.heappush(heap, (-gain_of(node), version, node))
 
     configuration = Configuration(discounts).require_feasible(problem.budget)
     return GreedyAllocationResult(
         configuration=configuration,
         objective_value=objective.value(),
         increments=spent_increments,
-        timings=timings,
     )

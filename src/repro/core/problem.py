@@ -160,8 +160,8 @@ class CIMProblem:
         ``backing`` selects where the assembled hyper-graph CSR lives:
         ``"heap"`` (default) or ``"mmap"`` — disk-backed spill files under
         ``spill_dir`` (``REPRO_SPILL_DIR`` or the system temp dir when
-        unset), for graphs whose hyper-graph exceeds RAM.  Requires
-        ``storage="shared"``; placement never changes the CSR bytes.
+        unset), for graphs whose hyper-graph exceeds RAM.  It works with
+        either ``storage``; placement never changes the CSR bytes.
         """
         if num_hyperedges == "auto":
             from repro.rrset.adaptive import adaptive_hypergraph

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
@@ -91,14 +91,7 @@ def _solve_im(problem, hypergraph, seed, options) -> tuple[Configuration, dict]:
 
 
 def _solve_ud(problem, hypergraph, seed, options) -> tuple[Configuration, dict]:
-    result = unified_discount(
-        problem,
-        hypergraph,
-        discount_grid=options.get("discount_grid"),
-        step=options.get("step", 0.05),
-        deadline=options.get("deadline"),
-        constraints=options.get("constraints"),
-    )
+    result = _unified(problem, hypergraph, options)
     return result.configuration, {
         "best_discount": result.best_discount,
         "targets": result.targets,
@@ -107,21 +100,31 @@ def _solve_ud(problem, hypergraph, seed, options) -> tuple[Configuration, dict]:
     }
 
 
-def _solve_cd(problem, hypergraph, seed, options) -> tuple[Configuration, dict]:
+def _unified(problem, hypergraph, options):
+    """UD under ``options``: the ``ud`` method and the descents' warm start."""
+    return unified_discount(
+        problem,
+        hypergraph,
+        discount_grid=options["discount_grid"],
+        step=options["step"],
+        deadline=options.get("deadline"),
+        constraints=options.get("constraints"),
+    )
+
+
+def _ud_warm_start(problem, hypergraph, options) -> tuple[Configuration, dict]:
+    ud_result = _unified(problem, hypergraph, options)
+    return ud_result.configuration, {
+        "warm_start": "ud",
+        "ud_discount": ud_result.best_discount,
+        "deadline_expired": ud_result.deadline_expired,
+    }
+
+
+def _cd_warm_start(problem, hypergraph, options) -> tuple[Configuration, dict]:
     constraints = options.get("constraints")
     try:
-        ud_result = unified_discount(
-            problem,
-            hypergraph,
-            discount_grid=options.get("discount_grid"),
-            step=options.get("step", 0.05),
-            deadline=options.get("deadline"),
-            constraints=constraints,
-        )
-        warm_start = ud_result.configuration
-        warm_label = "ud"
-        ud_discount = ud_result.best_discount
-        ud_expired = ud_result.deadline_expired
+        return _ud_warm_start(problem, hypergraph, options)
     except SolverError:
         # Under generic constraints the whole unified family c·1_S can be
         # infeasible (UD then has no grid point to offer).  Descent does
@@ -129,32 +132,98 @@ def _solve_cd(problem, hypergraph, seed, options) -> tuple[Configuration, dict]:
         # start instead of failing the solve.
         if constraints is None or not constraints.has_generic:
             raise
-        warm_start = Configuration(
-            constraints.project(np.zeros(problem.num_nodes))
+        cold = Configuration(constraints.project(np.zeros(problem.num_nodes)))
+        extras = {"warm_start": "cold", "ud_discount": None, "deadline_expired": False}
+        return cold, extras
+
+
+def _gradient_warm_start(problem, hypergraph, options) -> tuple[Configuration, dict]:
+    """Resolve the ``warm_start`` option shared by gradient and FW."""
+    warm = options["warm_start"]
+    if warm == "ud":
+        return _ud_warm_start(problem, hypergraph, options)
+    if warm == "zeros":
+        config = Configuration.zeros(problem.num_nodes)
+    elif warm == "uniform":
+        config = Configuration.uniform(problem.budget, problem.num_nodes)
+    else:
+        raise SolverError(
+            f"unknown warm_start {warm!r}; choose 'ud', 'zeros' or 'uniform'"
         )
-        warm_label = "cold"
-        ud_discount = None
-        ud_expired = False
-    cd_result = coordinate_descent_hypergraph(
+    return config, {"warm_start": warm, "deadline_expired": False}
+
+
+def _descend_cd(problem, hypergraph, warm, options, objective=None, coordinates=None):
+    return coordinate_descent_hypergraph(
         problem,
         hypergraph,
-        warm_start,
-        grid_step=options.get("grid_step", 0.01),
-        max_rounds=options.get("max_rounds", 10),
-        refine_iterations=options.get("refine_iterations", 25),
-        pair_strategy=options.get("pair_strategy", "cyclic"),
+        warm,
+        grid_step=options["grid_step"],
+        max_rounds=options["max_rounds"],
+        refine_iterations=options["refine_iterations"],
+        pair_strategy=options["pair_strategy"],
+        coordinates=coordinates,
         deadline=options.get("deadline"),
-        constraints=constraints,
+        objective=objective,
+        constraints=options.get("constraints"),
     )
-    return cd_result.configuration, {
-        "warm_start": warm_label,
-        "ud_discount": ud_discount,
-        "rounds_run": cd_result.rounds_run,
-        "pair_updates": cd_result.pair_updates,
-        "round_values": cd_result.round_values,
-        "converged": cd_result.converged,
-        "deadline_expired": ud_expired or cd_result.deadline_expired,
-    }
+
+
+def _descend_gradient(problem, hypergraph, warm, options, objective=None):
+    from repro.core.gradient import projected_gradient_ascent
+
+    return projected_gradient_ascent(
+        problem,
+        hypergraph,
+        warm,
+        step_size=options["step_size"],
+        max_steps=options["max_steps"],
+        tolerance=options["tolerance"],
+        deadline=options.get("deadline"),
+        objective=objective,
+        constraints=options.get("constraints"),
+    )
+
+
+def _descend_fw(problem, hypergraph, warm, options, objective=None):
+    from repro.core.gradient import frank_wolfe
+
+    return frank_wolfe(
+        problem,
+        hypergraph,
+        warm,
+        max_steps=options["max_steps"],
+        tolerance=options["tolerance"],
+        deadline=options.get("deadline"),
+        objective=objective,
+        constraints=options.get("constraints"),
+    )
+
+
+def _reported(*fields: str) -> Callable[[object], dict]:
+    """The ``extras(result)`` of a descent: the named fields of its result."""
+    return lambda result: {name: getattr(result, name) for name in fields}
+
+
+_cd_extras = _reported("rounds_run", "pair_updates", "round_values", "converged")
+_GRADIENT_FIELDS = (
+    "steps_run",
+    "backtracks",
+    "objective_evals",
+    "gradient_evals",
+    "step_values",
+    "converged",
+    "duality_gap",
+    "budget_spent",
+)
+
+
+def _descended(descend, extras, problem, hypergraph, warm, warm_extras, options):
+    """Descend from ``warm``; the descent's extras join the warm start's."""
+    result = descend(problem, hypergraph, warm, options)
+    expired = warm_extras["deadline_expired"] or result.deadline_expired
+    extras = {**warm_extras, **extras(result), "deadline_expired": expired}
+    return result.configuration, extras
 
 
 def _solve_cd_im(problem, hypergraph, seed, options) -> tuple[Configuration, dict]:
@@ -171,110 +240,18 @@ def _solve_cd_im(problem, hypergraph, seed, options) -> tuple[Configuration, dic
     in_support[support] = True
     extra = [int(u) for u in by_degree if not in_support[u]][: max(1, support.size)]
     coordinates = np.concatenate([support, np.asarray(extra, dtype=np.int64)])
-    cd_result = coordinate_descent_hypergraph(
-        problem,
-        hypergraph,
-        im_config,
-        grid_step=options.get("grid_step", 0.01),
-        max_rounds=options.get("max_rounds", 10),
-        refine_iterations=options.get("refine_iterations", 25),
-        coordinates=coordinates,
-        deadline=options.get("deadline"),
-        constraints=options.get("constraints"),
-    )
-    return cd_result.configuration, {
+
+    def descend(problem, hypergraph, warm, options):
+        return _descend_cd(problem, hypergraph, warm, options, coordinates=coordinates)
+
+    warm_extras = {
         "warm_start": "im",
         "im_seeds": im_extras["seeds"],
-        "rounds_run": cd_result.rounds_run,
-        "round_values": cd_result.round_values,
-        "deadline_expired": cd_result.deadline_expired,
+        "deadline_expired": False,
     }
-
-
-def _gradient_warm_start(problem, hypergraph, options) -> tuple[Configuration, dict]:
-    """Resolve the ``warm_start`` option shared by gradient and FW."""
-    warm = options.get("warm_start", "ud")
-    if warm == "ud":
-        ud_result = unified_discount(
-            problem,
-            hypergraph,
-            discount_grid=options.get("discount_grid"),
-            step=options.get("step", 0.05),
-            deadline=options.get("deadline"),
-            constraints=options.get("constraints"),
-        )
-        return ud_result.configuration, {
-            "warm_start": "ud",
-            "ud_discount": ud_result.best_discount,
-            "deadline_expired": ud_result.deadline_expired,
-        }
-    if warm == "zeros":
-        return Configuration.zeros(problem.num_nodes), {
-            "warm_start": "zeros",
-            "deadline_expired": False,
-        }
-    if warm == "uniform":
-        return Configuration.uniform(problem.budget, problem.num_nodes), {
-            "warm_start": "uniform",
-            "deadline_expired": False,
-        }
-    raise SolverError(
-        f"unknown warm_start {warm!r}; choose 'ud', 'zeros' or 'uniform'"
+    return _descended(
+        descend, _cd_extras, problem, hypergraph, im_config, warm_extras, options
     )
-
-
-def _gradient_extras(result, warm_extras: dict) -> dict:
-    extras = dict(warm_extras)
-    extras.update(
-        steps_run=result.steps_run,
-        backtracks=result.backtracks,
-        objective_evals=result.objective_evals,
-        gradient_evals=result.gradient_evals,
-        step_values=result.step_values,
-        converged=result.converged,
-        duality_gap=result.duality_gap,
-        budget_spent=result.budget_spent,
-        deadline_expired=warm_extras.get("deadline_expired", False)
-        or result.deadline_expired,
-    )
-    if result.fw_gap is not None:
-        extras["fw_gap"] = result.fw_gap
-    return extras
-
-
-def _solve_gradient(problem, hypergraph, seed, options) -> tuple[Configuration, dict]:
-    from repro.core.gradient import projected_gradient_ascent
-
-    initial, warm_extras = _gradient_warm_start(problem, hypergraph, options)
-    result = projected_gradient_ascent(
-        problem,
-        hypergraph,
-        initial,
-        step_size=options.get("step_size", 0.5),
-        max_steps=options.get("max_steps", 200),
-        tolerance=options.get("tolerance", 1e-3),
-        deadline=options.get("deadline"),
-        constraints=options.get("constraints"),
-    )
-    return result.configuration, _gradient_extras(result, warm_extras)
-
-
-def _solve_fw(problem, hypergraph, seed, options) -> tuple[Configuration, dict]:
-    from repro.core.gradient import frank_wolfe
-
-    options = dict(options)
-    options.setdefault("warm_start", "zeros")
-    initial, warm_extras = _gradient_warm_start(problem, hypergraph, options)
-    result = frank_wolfe(
-        problem,
-        hypergraph,
-        initial,
-        max_steps=options.get("max_steps", 200),
-        tolerance=options.get("tolerance", 1e-3),
-        deadline=options.get("deadline"),
-        constraints=options.get("constraints"),
-    )
-    return result.configuration, _gradient_extras(result, warm_extras)
 
 
 def _solve_greedy(problem, hypergraph, seed, options) -> tuple[Configuration, dict]:
@@ -310,27 +287,84 @@ def _solve_degree(problem, hypergraph, seed, options) -> tuple[Configuration, di
 _SolverFn = Callable[[CIMProblem, RRHypergraph, SeedLike, dict], tuple]
 
 
+#: The UD warm start's options: those of ``ud`` and every descent that
+#: warm-starts from it.
+_UD_OPTIONS = {"step": 0.05, "discount_grid": None}
+#: The CD descent's options (``cd`` and ``cd-im``).
+_CD_OPTIONS = {
+    "grid_step": 0.01,
+    "max_rounds": 10,
+    "refine_iterations": 25,
+    "pair_strategy": "cyclic",
+}
+#: The Frank-Wolfe descent's options; projected gradient adds its step.
+_FW_OPTIONS = {"max_steps": 200, "tolerance": 1e-3}
+
+
 @dataclass(frozen=True)
 class _SolverEntry:
-    """One registry row: the strategy plus its capability flags.
+    """One registry row: the strategy, its capability flags and its options.
 
     ``supports_constraints`` marks strategies that consume
     ``options["constraints"]`` natively; :func:`solve` projects the output
     of unaware strategies onto the feasible set instead (and tags the
     result ``extras["constraints_projected"]``).
+
+    ``options`` holds the default of every option the strategy reads;
+    :func:`solve` merges the caller's options over it.  A descent entry
+    (see :func:`_descent`) also carries the descent itself, which the
+    adaptive driver (:func:`repro.rrset.adaptive.adaptive_hypergraph`)
+    runs once per instalment: ``descend(problem, hypergraph, warm,
+    options, objective=None)`` returns the descent's result, and
+    ``extras(result)`` reports it.
     """
 
     fn: _SolverFn
     supports_constraints: bool = False
+    options: Mapping[str, object] = field(default_factory=dict)
+    descend: Optional[Callable] = None
+    extras: Optional[Callable[[object], dict]] = None
+
+    def resolve(self, options: Mapping[str, object]) -> Dict[str, object]:
+        """This entry's options, with the given values over the defaults."""
+        return {
+            name: options.get(name, default) for name, default in self.options.items()
+        }
+
+
+def _descent(warm_start, descend, extras, options) -> _SolverEntry:
+    """A constraint-aware entry that warm-starts, then descends."""
+
+    def solver(problem, hypergraph, seed, options):
+        warm, warm_extras = warm_start(problem, hypergraph, options)
+        return _descended(
+            descend, extras, problem, hypergraph, warm, warm_extras, options
+        )
+
+    return _SolverEntry(
+        solver, supports_constraints=True, options=options, descend=descend, extras=extras
+    )
 
 
 _REGISTRY: Dict[str, _SolverEntry] = {
     "im": _SolverEntry(_solve_im),
-    "ud": _SolverEntry(_solve_ud, supports_constraints=True),
-    "cd": _SolverEntry(_solve_cd, supports_constraints=True),
-    "cd-im": _SolverEntry(_solve_cd_im, supports_constraints=True),
-    "gradient": _SolverEntry(_solve_gradient, supports_constraints=True),
-    "fw": _SolverEntry(_solve_fw, supports_constraints=True),
+    "ud": _SolverEntry(_solve_ud, supports_constraints=True, options=_UD_OPTIONS),
+    "cd": _descent(
+        _cd_warm_start, _descend_cd, _cd_extras, {**_UD_OPTIONS, **_CD_OPTIONS}
+    ),
+    "cd-im": _SolverEntry(_solve_cd_im, supports_constraints=True, options=_CD_OPTIONS),
+    "gradient": _descent(
+        _gradient_warm_start,
+        _descend_gradient,
+        _reported(*_GRADIENT_FIELDS),
+        {"warm_start": "ud", **_UD_OPTIONS, "step_size": 0.5, **_FW_OPTIONS},
+    ),
+    "fw": _descent(
+        _gradient_warm_start,
+        _descend_fw,
+        _reported(*_GRADIENT_FIELDS, "fw_gap"),
+        {"warm_start": "zeros", **_UD_OPTIONS, **_FW_OPTIONS},
+    ),
     "greedy": _SolverEntry(_solve_greedy),
     "uniform": _SolverEntry(_solve_uniform),
     "random": _SolverEntry(_solve_random),
@@ -344,8 +378,17 @@ _REGISTRY: Dict[str, _SolverEntry] = {
 #: was shadowed by a constraint-wrapped re-registration.
 _BUILTINS: Dict[str, _SolverEntry] = dict(_REGISTRY)
 
-#: Methods whose descent the adaptive driver can run per instalment.
-_ADAPTIVE_OPTIMIZERS = ("cd", "gradient", "fw")
+
+def descent_entry(method: str) -> _SolverEntry:
+    """The registry entry of ``method``, which must descend from a warm start."""
+    entry = _REGISTRY.get(method)
+    if entry is None or entry.descend is None:
+        descents = sorted(name for name, e in _REGISTRY.items() if e.descend is not None)
+        raise SolverError(
+            f"method {method!r} has no descent to run per instalment; "
+            f"choose from {descents}"
+        )
+    return entry
 
 
 def available_methods() -> List[str]:
@@ -457,11 +500,15 @@ def solve(
         fixed-θ build: sampling stops once the incumbent UI(C) estimate
         is certified.  Driver knobs travel in ``options["adaptive"]``
         (a dict of ``epsilon``, ``max_theta``, ``checkpoint_dir``, ...).
-        For ``method="cd"`` the driver's own warm-started descent *is*
-        the solve — its certified configuration is returned directly,
-        with the doubling trace in ``extras["adaptive"]``; other methods
-        run normally on the adaptively-sized hyper-graph.  Incompatible
-        with a prebuilt ``hypergraph``.
+        For the descents (``cd``, ``gradient``, ``fw``) the driver runs
+        this method's descent, with these ``options``, on every
+        instalment; its certified configuration *is* the solve result,
+        with the doubling trace in ``extras["adaptive"]``.  There CD
+        defaults to the ``"lazy"`` pair scheduler, and ``warm_start``
+        raises :class:`~repro.exceptions.SolverError` (every instalment
+        warm-starts from UD against the incumbent).  Other methods run
+        normally on the adaptively-sized hyper-graph.  Incompatible with
+        a prebuilt ``hypergraph``.
     deadline:
         Optional wall-clock budget for the *whole* run (seconds or a
         shared :class:`~repro.runtime.Deadline`): hyper-graph construction
@@ -505,11 +552,12 @@ def solve(
         Where the assembled hyper-graph CSR lives: ``"heap"`` (default)
         or ``"mmap"`` — spill files under ``spill_dir``
         (``REPRO_SPILL_DIR`` or the system temp dir), keeping the
-        coordinator's resident set independent of θ.  Requires
-        ``storage="shared"``; like ``storage``, never changes results
-        and is ignored with a prebuilt ``hypergraph``.
+        coordinator's resident set independent of θ.  Works with either
+        ``storage``; like ``storage``, never changes results and is
+        ignored with a prebuilt ``hypergraph``.
     options:
-        Method-specific knobs (``step``, ``grid_step``, ``max_rounds``...).
+        Method-specific knobs (``step``, ``grid_step``, ``max_rounds``...),
+        merged over the method's registered defaults.
     """
     try:
         entry = _REGISTRY[method]
@@ -520,9 +568,10 @@ def solve(
     solver = entry.fn
 
     run_budget: Deadline = as_deadline(deadline)
-    options = dict(options)
-    options.setdefault("deadline", run_budget)
     adaptive_options = dict(options.pop("adaptive", None) or {})
+    method_options = dict(options)
+    options = {**entry.options, **options}
+    options.setdefault("deadline", run_budget)
     if num_hyperedges == "auto" and hypergraph is not None:
         raise SolverError(
             "num_hyperedges='auto' cannot be combined with a prebuilt hypergraph"
@@ -558,10 +607,11 @@ def solve(
         if hypergraph is None and num_hyperedges == "auto":
             from repro.rrset.adaptive import adaptive_hypergraph
 
-            if method in _ADAPTIVE_OPTIMIZERS:
+            if entry.descend is not None:
                 # Let the driver run *this* method's descent per instalment
                 # so its certified incumbent is the solve result.
-                adaptive_options.setdefault("optimizer", method)
+                adaptive_options.setdefault("method", method)
+                adaptive_options.setdefault("options", method_options)
             # The driver needs constraints before any hyper-graph exists,
             # so TopKAccess binds against the weighted out-degree proxy
             # here (deterministic, hyper-graph-free).
@@ -619,7 +669,7 @@ def solve(
         with timings.phase(method):
             if (
                 adaptive_result is not None
-                and adaptive_options.get("optimizer", "cd") == method
+                and adaptive_options.get("method", "cd") == method
             ):
                 # The driver already alternated UD warm-start with this
                 # method's descent at every doubling — its incumbent IS the
@@ -627,17 +677,8 @@ def solve(
                 # duplicate the work.
                 configuration = adaptive_result.configuration
                 extras = {"warm_start": "ud"}
-                inner = adaptive_result.cd_result
-                if inner is not None:
-                    if method == "cd":
-                        extras.update(
-                            rounds_run=inner.rounds_run,
-                            pair_updates=inner.pair_updates,
-                            round_values=inner.round_values,
-                            converged=inner.converged,
-                        )
-                    else:
-                        extras = _gradient_extras(inner, extras)
+                if adaptive_result.cd_result is not None:
+                    extras.update(entry.extras(adaptive_result.cd_result))
                 extras["deadline_expired"] = adaptive_result.stop_reason == "deadline"
             else:
                 configuration, extras = solver(problem, hypergraph, seed, options)

@@ -26,7 +26,6 @@ from repro.obs.context import get_metrics, get_tracer
 from repro.rrset.coverage import weighted_max_coverage
 from repro.rrset.hypergraph import RRHypergraph
 from repro.runtime.deadline import DeadlineLike, as_deadline
-from repro.utils.timing import TimingBreakdown
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.constraints import ResolvedConstraints
@@ -55,7 +54,6 @@ class UDResult:
     #: True when a deadline cut the discount grid search short; the result
     #: is the best (c, S) among the grid points actually evaluated.
     deadline_expired: bool = False
-    timings: TimingBreakdown = field(default_factory=TimingBreakdown)
 
 
 def default_discount_grid(step: float = 0.05) -> np.ndarray:
@@ -121,7 +119,6 @@ def unified_discount(
     budget = problem.budget
     if constraints is not None:
         budget = min(budget, constraints.budget)
-    timings = TimingBreakdown()
     trace: List[UDGridPoint] = []
     best: Optional[Tuple[float, List[int], float]] = None
 
@@ -129,53 +126,52 @@ def unified_discount(
     metrics = get_metrics()
     polls = 0
     with get_tracer().span("solver.ud", grid_size=int(grid.size)) as span:
-        with timings.phase("grid_search"):
-            for discount in grid:
-                polls += 1
-                if budget_clock.expired():
-                    if best is None:
-                        budget_clock.check("the first UD grid point")
-                    expired = True
-                    break
-                num_targets = int(min(n, np.floor(budget / discount + 1e-9)))
-                candidates = None
-                if constraints is not None:
-                    candidates = constraints.eligible_at(float(discount))
-                    if candidates is not None:
-                        num_targets = min(num_targets, int(candidates.size))
-                if num_targets == 0:
-                    continue
-                node_probs = problem.population.probabilities_at(float(discount))
-                coverage = weighted_max_coverage(
-                    hypergraph, node_probs, num_targets, candidates=candidates
+        for discount in grid:
+            polls += 1
+            if budget_clock.expired():
+                if best is None:
+                    budget_clock.check("the first UD grid point")
+                expired = True
+                break
+            num_targets = int(min(n, np.floor(budget / discount + 1e-9)))
+            candidates = None
+            if constraints is not None:
+                candidates = constraints.eligible_at(float(discount))
+                if candidates is not None:
+                    num_targets = min(num_targets, int(candidates.size))
+            if num_targets == 0:
+                continue
+            node_probs = problem.population.probabilities_at(float(discount))
+            coverage = weighted_max_coverage(
+                hypergraph, node_probs, num_targets, candidates=candidates
+            )
+            if constraints is not None and constraints.has_generic:
+                unified = np.zeros(n, dtype=np.float64)
+                unified[np.asarray(coverage.seeds, dtype=np.int64)] = float(
+                    discount
                 )
-                if constraints is not None and constraints.has_generic:
-                    unified = np.zeros(n, dtype=np.float64)
-                    unified[np.asarray(coverage.seeds, dtype=np.int64)] = float(
-                        discount
-                    )
-                    if not constraints.is_satisfied(unified):
-                        span.event(
-                            "grid_point_skipped",
-                            discount=float(discount),
-                            reason="generic-constraint",
-                        )
-                        continue
-                trace.append(
-                    UDGridPoint(
+                if not constraints.is_satisfied(unified):
+                    span.event(
+                        "grid_point_skipped",
                         discount=float(discount),
-                        num_targets=len(coverage.seeds),
-                        spread_estimate=coverage.spread_estimate,
+                        reason="generic-constraint",
                     )
-                )
-                span.event(
-                    "grid_point",
+                    continue
+            trace.append(
+                UDGridPoint(
                     discount=float(discount),
                     num_targets=len(coverage.seeds),
-                    spread=float(coverage.spread_estimate),
+                    spread_estimate=coverage.spread_estimate,
                 )
-                if best is None or coverage.spread_estimate > best[2]:
-                    best = (float(discount), coverage.seeds, coverage.spread_estimate)
+            )
+            span.event(
+                "grid_point",
+                discount=float(discount),
+                num_targets=len(coverage.seeds),
+                spread=float(coverage.spread_estimate),
+            )
+            if best is None or coverage.spread_estimate > best[2]:
+                best = (float(discount), coverage.seeds, coverage.spread_estimate)
         span.set(evaluated=len(trace), truncated=expired)
         if best is not None:
             span.set(best_discount=best[0], best_spread=float(best[2]))
@@ -201,5 +197,4 @@ def unified_discount(
         spread_estimate=spread,
         grid=trace,
         deadline_expired=expired,
-        timings=timings,
     )

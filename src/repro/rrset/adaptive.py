@@ -5,7 +5,8 @@ hyper-edges up front (Section 8's "predefined number"), even when far fewer
 samples already pin the objective down.  This module implements the
 IMM-style alternative for the *continuous* problem: sample in geometrically
 growing instalments, re-optimize the discount configuration after each one
-(warm-started coordinate descent), and stop as soon as either
+(a warm-started descent: by default coordinate descent), and stop as soon
+as either
 
 * a Theorem-2-style relative-error bound certifies the incumbent UI(C)
   estimate to ``epsilon`` at confidence ``1 - delta``
@@ -27,14 +28,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.constraints import ResolvedConstraints
 
-from repro.exceptions import CheckpointError, EstimationError, WorkerPoolError
+from repro.exceptions import (
+    CheckpointError,
+    EstimationError,
+    SolverError,
+    WorkerPoolError,
+)
 from repro.obs.context import get_metrics, get_tracer
 from repro.parallel.pool import DEFAULT_CHUNK_SIZE
 from repro.parallel.supervisor import SupervisionLike
@@ -45,7 +51,6 @@ from repro.rrset.sampler import sample_rr_csr
 from repro.runtime.checkpoint import CheckpointStore, content_key, problem_fingerprint
 from repro.runtime.deadline import DeadlineLike, as_deadline
 from repro.utils.rng import SeedLike, as_root_sequence
-from repro.utils.timing import TimingBreakdown
 
 __all__ = [
     "AdaptiveResult",
@@ -155,11 +160,15 @@ class AdaptiveResult:
     stages: List[Dict[str, object]] = field(default_factory=list)
     #: The last instalment's descent result: a
     #: :class:`~repro.core.cd_hypergraph.HypergraphCDResult` for the default
-    #: CD optimizer, a :class:`~repro.core.gradient.GradientResult` for
-    #: ``optimizer="gradient"``/``"fw"``.
+    #: ``method="cd"``, a :class:`~repro.core.gradient.GradientResult` for
+    #: ``"gradient"``/``"fw"``.
     cd_result: Optional[object] = None
     checkpoint_hits: int = 0
-    timings: TimingBreakdown = field(default_factory=TimingBreakdown)
+
+
+#: The descent-effort counts each stage record carries (CD reports the
+#: first two, the gradient family the last two).
+_STAGE_EFFORT = ("rounds_run", "pair_updates", "steps_run", "objective_evals")
 
 
 def _stable(values: List[float], window: int, rtol: float) -> bool:
@@ -189,26 +198,19 @@ def adaptive_hypergraph(
     deadline: DeadlineLike = None,
     supervision: SupervisionLike = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
-    pair_strategy: str = "lazy",
-    grid_step: float = 0.01,
-    cd_max_rounds: int = 10,
-    cd_tolerance: float = 1e-9,
-    refine_iterations: int = 25,
-    optimizer: str = "cd",
-    gradient_step_size: float = 0.5,
-    gradient_max_steps: int = 200,
-    gradient_tolerance: float = 1e-3,
+    method: str = "cd",
+    options: Optional[Mapping[str, object]] = None,
     constraints: Optional["ResolvedConstraints"] = None,
     storage: Optional[str] = None,
     slab_dir: Optional[Union[str, Path]] = None,
     backing: Optional[str] = None,
     spill_dir: Optional[Union[str, Path]] = None,
 ) -> AdaptiveResult:
-    """Sample adaptively and return the certified CD solution.
+    """Sample adaptively and return the certified descent solution.
 
     Alternates instalments of RR sampling (through the deterministic
     chunk plan, so the grown hyper-graph matches a one-shot build bit for
-    bit) with warm-started coordinate descent, and stops at the first of:
+    bit) with a warm-started descent, and stops at the first of:
     relative error certified to ``epsilon`` at confidence ``1 - delta``
     (:func:`relative_error_bound`), objective stable across
     ``stability_window`` doublings within ``stability_rtol``, ``max_theta``
@@ -257,19 +259,17 @@ def adaptive_hypergraph(
         Snapshots are integrity-checked on restore; a corrupt or torn
         instalment is quarantined and recomputed rather than crashing
         the resume (see :meth:`~repro.runtime.CheckpointStore.salvage_json`).
-    pair_strategy, grid_step, cd_max_rounds, cd_tolerance, refine_iterations:
-        Forwarded to
-        :func:`~repro.core.cd_hypergraph.coordinate_descent_hypergraph`;
-        the default ``"lazy"`` scheduler suits the re-optimization loop,
-        where most pairs have nothing left to give after the first
-        instalment.
-    optimizer:
-        Which descent re-optimizes the incumbent per instalment: ``"cd"``
-        (default), ``"gradient"`` (projected gradient ascent) or ``"fw"``
-        (Frank-Wolfe) — all warm-started from the UD-vs-incumbent
-        competition and certified under the same Chernoff bound.
-    gradient_step_size, gradient_max_steps, gradient_tolerance:
-        Forwarded to the gradient/FW descent when ``optimizer`` selects it.
+    method, options:
+        The :func:`~repro.core.solvers.solve` method whose descent
+        re-optimizes the incumbent per instalment — ``"cd"`` (default),
+        ``"gradient"`` or ``"fw"`` — and its options, under ``solve()``'s
+        names and defaults.  The driver's one default of its own is CD's
+        ``pair_strategy="lazy"``: after the first instalment most pairs
+        have nothing left to give.  ``warm_start`` raises
+        :class:`~repro.exceptions.SolverError`, as every instalment
+        warm-starts from the better of a fresh UD and the incumbent;
+        options the method does not read are ignored, as in ``solve()``.
+        The method and its options over the defaults key the checkpoints.
     constraints:
         Optional solver constraints — a
         :class:`~repro.core.constraints.ResolvedConstraints` (what
@@ -289,14 +289,19 @@ def adaptive_hypergraph(
     """
     # Function-level imports: repro.core imports repro.rrset at module
     # scope, so the reverse edge must be deferred to call time.
-    from repro.core.cd_hypergraph import coordinate_descent_hypergraph
     from repro.core.configuration import Configuration
     from repro.core.constraints import ResolvedConstraints, resolve_constraints
-    from repro.core.gradient import frank_wolfe, projected_gradient_ascent
+    from repro.core.solvers import descent_entry
     from repro.core.unified_discount import unified_discount
 
-    if optimizer not in ("cd", "gradient", "fw"):
-        raise EstimationError(f"unknown optimizer {optimizer!r}")
+    entry = descent_entry(method)
+    options = dict(options or {})
+    resolved = entry.resolve({"pair_strategy": "lazy", **options})
+    if "warm_start" in options and "warm_start" in resolved:
+        raise SolverError(
+            "warm_start cannot apply per instalment: every instalment "
+            "warm-starts from the better of UD and the incumbent"
+        )
     if constraints is not None and not isinstance(constraints, ResolvedConstraints):
         constraints = resolve_constraints(constraints, problem, None)
         if constraints is not None and constraints.is_trivial(problem.budget):
@@ -323,34 +328,23 @@ def adaptive_hypergraph(
                 "(content keys must be stable and serializable)"
             )
         key_fields = dict(
-            kind="adaptive-v1",
+            kind="adaptive-v2",
             problem=problem_fingerprint(problem),
             seed=int(seed),
             chunk=size,
             schedule=schedule,
-            grid_step=grid_step,
-            cd_max_rounds=cd_max_rounds,
-            cd_tolerance=cd_tolerance,
-            refine_iterations=refine_iterations,
-            pair_strategy=pair_strategy,
+            method=method,
+            options=resolved,
         )
-        if optimizer != "cd":
-            # Only non-default optimizers key differently, so pre-existing
-            # CD checkpoints stay addressable.
-            key_fields["optimizer"] = optimizer
-            key_fields["gradient_step_size"] = gradient_step_size
-            key_fields["gradient_max_steps"] = gradient_max_steps
-            key_fields["gradient_tolerance"] = gradient_tolerance
         if constraints is not None:
-            # Keyed only when active, so unconstrained runs keep their
-            # historical keys; a constrained run can never collide with
-            # (or resume) an unconstrained run's instalments.
+            # Keyed only when active: a constrained run can never collide
+            # with (or resume) an unconstrained run's instalments.
             key_fields["constraints"] = constraints.spec()
         key = content_key(**key_fields)
         store = CheckpointStore(checkpoint_dir, key)
 
     root = as_root_sequence(seed)  # normalize ONCE: the plan must not drift
-    timings = TimingBreakdown()
+    run_options = dict(resolved, deadline=budget_clock, constraints=constraints)
     metrics = get_metrics()
     tracer = get_tracer()
 
@@ -408,36 +402,35 @@ def adaptive_hypergraph(
             if not restored:
                 built = 0 if hypergraph is None else hypergraph.num_hyperedges
                 salvaged_fault: Optional[WorkerPoolError] = None
-                with timings.phase("sample"):
-                    try:
-                        new_sizes, new_members = sample_rr_csr(
-                            problem.model,
-                            target - built,
-                            seed=root,
-                            deadline=budget_clock,
-                            workers=workers,
-                            chunk_size=chunk_size,
-                            start_at=built,
-                            supervision=supervision,
-                            storage=storage,
-                            slab_dir=slab_dir,
-                            backing=backing,
-                            spill_dir=spill_dir,
+                try:
+                    new_sizes, new_members = sample_rr_csr(
+                        problem.model,
+                        target - built,
+                        seed=root,
+                        deadline=budget_clock,
+                        workers=workers,
+                        chunk_size=chunk_size,
+                        start_at=built,
+                        supervision=supervision,
+                        storage=storage,
+                        slab_dir=slab_dir,
+                        backing=backing,
+                        spill_dir=spill_dir,
+                    )
+                except WorkerPoolError as exc:
+                    if hypergraph is None or hypergraph.num_hyperedges == 0:
+                        raise  # nothing completed yet: nothing to salvage
+                    salvaged_fault = exc
+                else:
+                    sampled += int(new_sizes.size)
+                    if hypergraph is None:
+                        hypergraph = RRHypergraph.from_csr(
+                            n, csr_offsets(new_sizes), new_members
                         )
-                    except WorkerPoolError as exc:
-                        if hypergraph is None or hypergraph.num_hyperedges == 0:
-                            raise  # nothing completed yet: nothing to salvage
-                        salvaged_fault = exc
                     else:
-                        sampled += int(new_sizes.size)
-                        if hypergraph is None:
-                            hypergraph = RRHypergraph.from_csr(
-                                n, csr_offsets(new_sizes), new_members
-                            )
-                        else:
-                            hypergraph = hypergraph.extend_csr(new_sizes, new_members)
-                            if objective is not None:
-                                objective.extend(hypergraph)
+                        hypergraph = hypergraph.extend_csr(new_sizes, new_members)
+                        if objective is not None:
+                            objective.extend(hypergraph)
                 if salvaged_fault is not None:
                     stop_reason = "fault"
                     metrics.inc("adaptive.salvaged_total")
@@ -448,81 +441,44 @@ def adaptive_hypergraph(
                     )
                     break
                 truncated = hypergraph.num_hyperedges < target
-                with timings.phase("descent"):
-                    # Re-derive the UD warm start on every instalment: the
-                    # support picked at a small theta is noisy, and CD only
-                    # redistributes budget *within* the warm support — the
-                    # incumbent must compete with a fresh UD on the current
-                    # (tighter) estimator or early support mistakes stick.
-                    ud = unified_discount(
-                        problem,
+                # Re-derive the UD warm start on every instalment: the
+                # support picked at a small theta is noisy, and CD only
+                # redistributes budget *within* the warm support — the
+                # incumbent must compete with a fresh UD on the current
+                # (tighter) estimator or early support mistakes stick.
+                ud = unified_discount(
+                    problem,
+                    hypergraph,
+                    discount_grid=resolved["discount_grid"],
+                    step=resolved["step"],
+                    deadline=budget_clock,
+                    constraints=constraints,
+                )
+                if objective is None:
+                    objective = HypergraphObjective(
                         hypergraph,
-                        deadline=budget_clock,
-                        constraints=constraints,
+                        problem.population.probabilities(ud.configuration.discounts),
                     )
-                    if objective is None:
-                        objective = HypergraphObjective(
-                            hypergraph,
-                            problem.population.probabilities(
-                                ud.configuration.discounts
-                            ),
-                        )
-                    if warm is None:
+                if warm is None:
+                    warm = ud.configuration
+                else:
+                    objective.set_probabilities(
+                        problem.population.probabilities(ud.configuration.discounts)
+                    )
+                    ud_value = objective.value()
+                    objective.set_probabilities(
+                        problem.population.probabilities(warm.discounts)
+                    )
+                    if ud_value > objective.value():
                         warm = ud.configuration
-                    else:
-                        objective.set_probabilities(
-                            problem.population.probabilities(
-                                ud.configuration.discounts
-                            )
-                        )
-                        ud_value = objective.value()
-                        objective.set_probabilities(
-                            problem.population.probabilities(warm.discounts)
-                        )
-                        if ud_value > objective.value():
-                            warm = ud.configuration
-                    if optimizer == "cd":
-                        cd_result = coordinate_descent_hypergraph(
-                            problem,
-                            hypergraph,
-                            warm,
-                            grid_step=grid_step,
-                            max_rounds=cd_max_rounds,
-                            tolerance=cd_tolerance,
-                            refine_iterations=refine_iterations,
-                            pair_strategy=pair_strategy,
-                            deadline=budget_clock,
-                            objective=objective,
-                            constraints=constraints,
-                        )
-                    else:
-                        descent = (
-                            projected_gradient_ascent
-                            if optimizer == "gradient"
-                            else frank_wolfe
-                        )
-                        kwargs = dict(
-                            max_steps=gradient_max_steps,
-                            tolerance=gradient_tolerance,
-                            deadline=budget_clock,
-                            objective=objective,
-                            constraints=constraints,
-                        )
-                        if optimizer == "gradient":
-                            kwargs["step_size"] = gradient_step_size
-                        cd_result = descent(problem, hypergraph, warm, **kwargs)
+                cd_result = entry.descend(
+                    problem, hypergraph, warm, run_options, objective=objective
+                )
                 warm = cd_result.configuration
                 value = float(cd_result.objective_value)
-                record = {
-                    "theta": int(hypergraph.num_hyperedges),
-                    "value": value,
-                }
-                if optimizer == "cd":
-                    record["rounds_run"] = int(cd_result.rounds_run)
-                    record["pair_updates"] = int(cd_result.pair_updates)
-                else:
-                    record["steps_run"] = int(cd_result.steps_run)
-                    record["objective_evals"] = int(cd_result.objective_evals)
+                record = {"theta": int(hypergraph.num_hyperedges), "value": value}
+                effort = entry.extras(cd_result)
+                record.update((k, int(effort[k])) for k in _STAGE_EFFORT if k in effort)
                 if store is not None and not truncated:
                     store.save_arrays(
                         name, discounts=warm.discounts, **hypergraph.to_arrays()
@@ -583,5 +539,4 @@ def adaptive_hypergraph(
         stages=stages,
         cd_result=cd_result,
         checkpoint_hits=checkpoint_hits,
-        timings=timings,
     )

@@ -19,8 +19,8 @@ certificate, worker-count bit-identity, and the ``adaptive.*`` /
 ``cd.*`` op counters (stop reason included).  The record lands in
 ``BENCH_adaptive.json``; both reports share the same top-level
 ``summary`` block (benchmark name, ok flag, baseline/candidate seconds,
-speedup, named boolean checks) so per-PR trajectories are
-machine-comparable::
+speedup, named pass/fail/skip checks with each skip's reason) so per-PR
+trajectories are machine-comparable::
 
     PYTHONPATH=src python -m repro.rrset.bench --adaptive
     PYTHONPATH=src python -m repro.rrset.bench --adaptive --smoke
@@ -50,7 +50,7 @@ solved end to end with UD.  The record (``BENCH_scale.json``, schema
 ``repro.rrset.bench/3``) pins bit-identity across transports, worker
 counts *and* backings (an always-run smoke-scale heap-vs-mmap digest
 cross-check), ~zero pickled bytes per chunk in shared mode, wall-clock
-scaling (CPU-gated, with the machine-derived skip reason recorded),
+scaling (skipped, with the machine-derived reason, where unmeasurable),
 the coordinator's peak RSS against a budget (measured *before* the
 heap baseline runs, so the mmap path owns the high-water mark), spill
 volume, and the narrowed CSR dtypes::
@@ -73,7 +73,7 @@ import os
 import platform
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -145,24 +145,46 @@ def _summary(
     benchmark: str,
     baseline_seconds: float,
     candidate_seconds: float,
-    checks: Dict[str, bool],
+    checks: Dict[str, Union[bool, str]],
 ) -> Dict:
     """The shared top-level ``summary`` block of every bench report.
 
-    One schema across ``BENCH_cd.json`` and ``BENCH_adaptive.json``:
-    ``baseline_seconds`` is the pre-change/fixed path, ``candidate_seconds``
-    the optimized path, ``speedup`` their ratio, and ``checks`` the named
-    correctness booleans whose conjunction is ``ok`` — so a dashboard can
-    diff per-PR trajectories without knowing either benchmark's internals.
+    One schema across every ``BENCH_*.json``: ``baseline_seconds`` is the
+    pre-change/fixed path, ``candidate_seconds`` the optimized path,
+    ``speedup`` their ratio, and ``checks`` the named correctness checks.
+    A check is a bool when it ran and, when it could not, the
+    machine-derived reason why; the report states each as ``"pass"``,
+    ``"fail"`` or ``"skip"``, lists the skipped ones with their reasons
+    under ``skipped``, and sets ``ok`` from the checks that ran alone —
+    so no check passes without running.
     """
+    states = {
+        name: "skip" if isinstance(check, str) else "pass" if check else "fail"
+        for name, check in checks.items()
+    }
     return {
         "benchmark": benchmark,
-        "ok": all(checks.values()),
+        "ok": "fail" not in states.values(),
         "baseline_seconds": baseline_seconds,
         "candidate_seconds": candidate_seconds,
         "speedup": baseline_seconds / max(candidate_seconds, 1e-12),
-        "checks": dict(checks),
+        "checks": states,
+        "skipped": {
+            name: check for name, check in checks.items() if isinstance(check, str)
+        },
     }
+
+
+def _format_checks(summary: Dict) -> List[str]:
+    """The check states of a report, then each skipped check's reason."""
+    lines = [
+        "checks: "
+        + " ".join(f"{name}={state}" for name, state in summary["checks"].items())
+    ]
+    lines.extend(
+        f"skipped {name}: {reason}" for name, reason in summary["skipped"].items()
+    )
+    return lines
 
 
 def _digest_rr(rr_sets: Sequence[np.ndarray]) -> str:
@@ -496,7 +518,7 @@ def run_adaptive_benchmark(
             seed=seed + 2,
             epsilon=epsilon,
             max_theta=rr_sets,
-            cd_max_rounds=max_rounds,
+            options={"max_rounds": max_rounds},
             workers=1,
         )
         adaptive_seconds = time.perf_counter() - start
@@ -511,7 +533,7 @@ def run_adaptive_benchmark(
             seed=seed + 2,
             epsilon=epsilon,
             max_theta=rr_sets,
-            cd_max_rounds=max_rounds,
+            options={"max_rounds": max_rounds},
             workers=count,
         )
         hasher = hashlib.sha256()
@@ -803,6 +825,10 @@ SCALE_SMOKE = dict(
 _SCALE_WORKERS = (1, 2, 4)
 _SCALE_SMOKE_WORKERS = (1, 2)
 
+#: Serial sampling time below which the worker sweep measures pool
+#: start-up rather than scaling, so the speedup check is skipped.
+_MIN_SCALING_SECONDS = 1.0
+
 #: Generators the scale benchmark knows how to build, by config name.
 _SCALE_GRAPHS = ("com_dblp_like", "com_lj_like")
 
@@ -908,9 +934,10 @@ def run_scale_benchmark(
     bit-identical across transports, worker counts and backings (the
     always-run smoke-scale cross-check of :func:`_backing_cross_check`),
     shared mode pickles ~nothing per chunk, both solves return the same
-    discounts, sampling scales when the machine has the cores (the
-    machine-derived skip reason is recorded otherwise), and the
-    coordinator's peak RSS stays under ``rss_budget_mb``.
+    discounts, sampling scales where the host's cores and the serial
+    run's length let it be measured (skipped with the machine-derived
+    reason otherwise), and the coordinator's peak RSS stays under
+    ``rss_budget_mb`` (skipped without a budget or a measurement).
     """
     from repro.core.solvers import solve
     from repro.graphs import generators
@@ -968,14 +995,26 @@ def run_scale_benchmark(
             shared_arrays = (sizes, members)
     shared_sizes, shared_members = shared_arrays
 
+    # Scaling is measured from the first worker count to the widest one
+    # the host has cores for, and only where the serial run is long
+    # enough for the pool's start-up to amortize.
     cpu_count = os.cpu_count() or 1
     cpu_limited = cpu_count < max_workers
-    speedup_skip_reason = (
-        f"cpu_count={cpu_count} < max_workers={max_workers}" if cpu_limited else None
-    )
-    t_serial = next(r["seconds"] for r in shared_rows if r["workers"] == workers[0])
-    t_wide = next(r["seconds"] for r in shared_rows if r["workers"] == max_workers)
-    sampling_speedup = t_serial / max(t_wide, 1e-12)
+    speedup_workers = max((w for w in workers if w <= cpu_count), default=workers[0])
+    seconds_at = {row["workers"]: row["seconds"] for row in shared_rows}
+    t_serial, t_wide = seconds_at[workers[0]], seconds_at[max_workers]
+    sampling_speedup = t_serial / max(seconds_at[speedup_workers], 1e-12)
+    if speedup_workers <= workers[0]:
+        speedup_check = (
+            f"cpu_count={cpu_count} leaves no worker count above {workers[0]}"
+        )
+    elif t_serial < _MIN_SCALING_SECONDS:
+        speedup_check = (
+            f"serial sampling took {t_serial:.3f}s, under the "
+            f"{_MIN_SCALING_SECONDS:g}s needed to measure scaling past pool start-up"
+        )
+    else:
+        speedup_check = sampling_speedup >= 1.6
 
     # -- hypergraph assembly + UD solve on the selected backing ---------
     def build(sizes: np.ndarray, members: np.ndarray) -> RRHypergraph:
@@ -1021,6 +1060,12 @@ def run_scale_benchmark(
     )
 
     backing_check = _backing_cross_check(seed)
+    if rss_budget_mb is None:
+        rss_check = "no RSS budget given"
+    elif peak_rss is None:
+        rss_check = "peak RSS is not measurable on this platform"
+    else:
+        rss_check = peak_rss <= rss_budget_mb
 
     digests = [heap_row["digest"]] + [row["digest"] for row in shared_rows]
     checks = {
@@ -1033,15 +1078,8 @@ def run_scale_benchmark(
             row["pickled_bytes_per_chunk"] <= _PICKLE_PER_CHUNK_LIMIT
             for row in shared_rows
         ),
-        # The worker sweep can only demonstrate scaling on a machine that
-        # has the cores; a CPU-starved box still validates bit-identity
-        # (the recorded skip reason says exactly which gate fired).
-        "sampling_speedup_ok": (sampling_speedup >= 1.6) if not cpu_limited else True,
-        "rss_within_budget": (
-            True
-            if rss_budget_mb is None or peak_rss is None
-            else peak_rss <= rss_budget_mb
-        ),
+        "sampling_speedup_ok": speedup_check,
+        "rss_within_budget": rss_check,
     }
     return {
         "schema": SCALE_SCHEMA,
@@ -1079,8 +1117,8 @@ def run_scale_benchmark(
                 "heap": heap_row,
                 "shared": shared_rows,
                 "speedup": sampling_speedup,
+                "speedup_workers": speedup_workers,
                 "cpu_limited": cpu_limited,
-                "speedup_skip_reason": speedup_skip_reason,
             },
             "hypergraph": {
                 "build_seconds": hypergraph_seconds,
@@ -1137,19 +1175,19 @@ def format_scale_report(report: Dict) -> str:
             f"{row['pickled_bytes_per_chunk']:13.0f}B"
         )
     lines.append(
-        "sampling speedup %.2fx (%s); hypergraph %ss %s; solve %.3fs spread %.2f"
+        "sampling speedup %.2fx (w%d->w%d%s); hypergraph %ss %s; "
+        "solve %.3fs spread %.2f"
         % (
             sampling["speedup"],
-            "cpu-limited" if sampling["cpu_limited"] else "scaled",
+            cfg["workers"][0],
+            sampling["speedup_workers"],
+            ", cpu-limited" if sampling["cpu_limited"] else "",
             f"{res['hypergraph']['build_seconds']:.3f}",
             res["hypergraph"]["dtypes"]["edge_nodes"],
             res["solve"]["seconds"],
             res["solve"]["objective_value"],
         )
     )
-    skip = res["sampling"].get("speedup_skip_reason")
-    if skip:
-        lines.append(f"sampling speedup check skipped: {skip}")
     peak = res["memory"]["peak_rss_mb"]
     if peak is not None:
         budget = res["memory"]["rss_budget_mb"]
@@ -1167,8 +1205,7 @@ def format_scale_report(report: Dict) -> str:
                 backing_check["identical"],
             )
         )
-    checks = report["summary"]["checks"]
-    lines.append("checks: " + " ".join(f"{name}={ok}" for name, ok in checks.items()))
+    lines.extend(_format_checks(report["summary"]))
     return "\n".join(lines)
 
 
@@ -1193,10 +1230,15 @@ def merge_solver_matrix(report: Dict, path: str) -> Dict:
     existing["solver_matrix"] = {
         key: report[key] for key in ("summary", "config", "rows", "determinism")
     }
-    existing["summary"]["checks"].update(
-        {f"solver_{name}": ok for name, ok in report["summary"]["checks"].items()}
+    summary = existing["summary"]
+    for block in ("checks", "skipped"):
+        summary.setdefault(block, {}).update(
+            (f"solver_{name}", value) for name, value in report["summary"][block].items()
+        )
+    # Reports written before the tri-state checks hold a bool per check.
+    summary["ok"] = not any(
+        state in ("fail", False) for state in summary["checks"].values()
     )
-    existing["summary"]["ok"] = all(existing["summary"]["checks"].values())
     return existing
 
 
@@ -1222,10 +1264,7 @@ def format_solver_report(report: Dict) -> str:
             f"{row['budget_spent']:7.3f} "
             + (f"{gap:10.4f}" if gap is not None else f"{'—':>10s}")
         )
-    checks = report["summary"]["checks"]
-    lines.append(
-        "checks: " + " ".join(f"{name}={ok}" for name, ok in checks.items())
-    )
+    lines.extend(_format_checks(report["summary"]))
     lines.append(
         "determinism: workers=%s identical=%s" % (det["workers"], det["identical"])
     )
@@ -1261,6 +1300,7 @@ def format_adaptive_report(report: Dict) -> str:
         "determinism: workers=%s identical=%s"
         % (report["determinism"]["workers"], report["determinism"]["identical"]),
     ]
+    lines.extend(_format_checks(summary))
     return "\n".join(lines)
 
 
@@ -1310,6 +1350,7 @@ def format_report(report: Dict) -> str:
         "determinism: rr_identical=%s round_values_identical=%s"
         % (det["rr_identical"], det["round_values_identical"])
     )
+    lines.extend(_format_checks(report["summary"]))
     return "\n".join(lines)
 
 
@@ -1515,7 +1556,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(format_report(report))
     print(f"wrote {out}")
     if not report["summary"]["ok"]:
-        failed = [k for k, v in report["summary"]["checks"].items() if not v]
+        failed = [k for k, v in report["summary"]["checks"].items() if v == "fail"]
         print(f"ERROR: benchmark checks failed: {failed}", file=sys.stderr)
         return 1
     return 0

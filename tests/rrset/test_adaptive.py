@@ -352,6 +352,33 @@ class TestAdaptiveCheckpoint:
             s["value"] for s in cold.stages
         ]
 
+    def test_key_follows_resolved_options(self, adaptive_problem, tmp_path):
+        """The key is the method plus its options over the defaults: an
+        explicit default resumes the default run's instalments, a changed
+        descent option or method recomputes them."""
+        kwargs = dict(
+            max_theta=512,
+            epsilon=1e-9,
+            stability_window=0,
+            seed=SEED,
+            checkpoint_dir=tmp_path,
+        )
+        cold = adaptive_hypergraph(adaptive_problem, **kwargs)
+        assert cold.checkpoint_hits == 0
+        explicit = adaptive_hypergraph(
+            adaptive_problem,
+            method="cd",
+            options={"max_rounds": 10, "pair_strategy": "lazy", "step": 0.05},
+            **kwargs,
+        )
+        assert explicit.checkpoint_hits == len(cold.stages)
+        changed = adaptive_hypergraph(
+            adaptive_problem, options={"max_rounds": 1}, **kwargs
+        )
+        assert changed.checkpoint_hits == 0
+        other = adaptive_hypergraph(adaptive_problem, method="gradient", **kwargs)
+        assert other.checkpoint_hits == 0
+
     def test_requires_integer_seed(self, adaptive_problem, tmp_path):
         with pytest.raises(EstimationError):
             adaptive_hypergraph(
@@ -455,6 +482,88 @@ class TestAutoWiring:
         )
         assert "adaptive" in result.extras
         assert result.extras["num_hyperedges"] == result.extras["adaptive"]["theta"]
+
+    #: sha256 of (discounts, spread estimate, theta) of default-option
+    #: auto solves on the module fixture, recorded when the driver still
+    #: dispatched its own optimizer switch: running ``solve()``'s descent
+    #: entry must reproduce them bit for bit.
+    PINNED_AUTO_DIGESTS = {
+        "cd": "d4247248dc95588019cb54dd9509126a27dcc6e4dab4f66b8d5f9b5952ab0c12",
+        "gradient": "38a089b7a7b1b33e996d3ce553405867a16047eb85cad79fbebee082892101de",
+        "fw": "f35d30f1cbfb06f0af244f194a3f479fc9840acc5153ff8247d40be64081bdc8",
+    }
+    #: Three instalments (256, 512, 1024) and no early stop.
+    THREE_STAGES = {"max_theta": 1024, "epsilon": 1e-9, "stability_window": 0}
+
+    @pytest.mark.parametrize("method", sorted(PINNED_AUTO_DIGESTS))
+    def test_solve_auto_default_options_pinned(self, adaptive_problem, method):
+        result = solve(
+            adaptive_problem,
+            method,
+            num_hyperedges="auto",
+            seed=SEED,
+            adaptive=self.THREE_STAGES,
+        )
+        digest = hashlib.sha256()
+        digest.update(np.ascontiguousarray(result.configuration.discounts).tobytes())
+        digest.update(np.float64(result.spread_estimate).tobytes())
+        digest.update(np.int64(result.extras["num_hyperedges"]).tobytes())
+        assert digest.hexdigest() == self.PINNED_AUTO_DIGESTS[method]
+
+    def test_solve_auto_cd_honours_max_rounds(self, adaptive_problem):
+        result = solve(
+            adaptive_problem,
+            "cd",
+            num_hyperedges="auto",
+            seed=SEED,
+            adaptive=self.THREE_STAGES,
+            max_rounds=1,
+        )
+        assert result.extras["rounds_run"] <= 1
+        stages = result.extras["adaptive"]["stages"]
+        assert len(stages) == 3
+        assert all(stage["rounds_run"] <= 1 for stage in stages)
+
+    @pytest.mark.parametrize("method", ["gradient", "fw"])
+    def test_solve_auto_gradient_family_honours_max_steps(
+        self, adaptive_problem, method
+    ):
+        result = solve(
+            adaptive_problem,
+            method,
+            num_hyperedges="auto",
+            seed=SEED,
+            adaptive=self.THREE_STAGES,
+            max_steps=1,
+        )
+        assert result.extras["steps_run"] <= 1
+        stages = result.extras["adaptive"]["stages"]
+        assert len(stages) == 3
+        assert all(stage["steps_run"] <= 1 for stage in stages)
+
+    @pytest.mark.parametrize("method", ["gradient", "fw"])
+    def test_solve_auto_rejects_warm_start(self, adaptive_problem, method):
+        with pytest.raises(SolverError, match="warm_start"):
+            solve(
+                adaptive_problem,
+                method,
+                num_hyperedges="auto",
+                seed=SEED,
+                adaptive=self.THREE_STAGES,
+                warm_start="zeros",
+            )
+
+    def test_solve_auto_cd_ignores_warm_start_it_never_reads(self, adaptive_problem):
+        auto = dict(num_hyperedges="auto", seed=SEED, adaptive=self.THREE_STAGES)
+        plain = solve(adaptive_problem, "cd", **auto)
+        ignored = solve(adaptive_problem, "cd", warm_start="zeros", **auto)
+        assert np.array_equal(
+            plain.configuration.discounts, ignored.configuration.discounts
+        )
+
+    def test_driver_rejects_method_without_descent(self, adaptive_problem):
+        with pytest.raises(SolverError, match="no descent"):
+            adaptive_hypergraph(adaptive_problem, seed=SEED, method="ud")
 
     def test_solve_auto_rejects_prebuilt_hypergraph(self, adaptive_problem):
         hypergraph = adaptive_problem.build_hypergraph(

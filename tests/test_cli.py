@@ -188,6 +188,35 @@ class TestSolveAndEvaluate:
         assert "adaptive sampling: theta" in out
         assert "stopped on" in out
 
+    def test_rr_sets_auto_applies_method_options(self, network_file, tmp_path):
+        """--max-steps reaches the descent the adaptive driver runs on
+        every instalment, as it does on a fixed-size build."""
+        plan = tmp_path / "plan.json"
+        code = main(
+            [
+                "solve",
+                str(network_file),
+                "--method",
+                "gradient",
+                "--budget",
+                "4",
+                "--rr-sets",
+                "auto",
+                "--rr-epsilon",
+                "0.05",
+                "--max-steps",
+                "1",
+                "--seed",
+                "3",
+                "-o",
+                str(plan),
+            ]
+        )
+        assert code == 0
+        extras = json.loads(plan.read_text())["extras"]
+        assert extras["steps_run"] <= 1
+        assert all(stage["steps_run"] <= 1 for stage in extras["adaptive"]["stages"])
+
     def test_rr_sets_integer_overrides_hyperedges(self, network_file, capsys):
         code = main(
             [
