@@ -420,17 +420,21 @@ def _golden_refine(
     grid value (the fallback guards against pathological cells).  Per-user
     caps shrink the search bracket to the constrained feasible slice; the
     defaults reproduce the Eq.-7 interval.
+
+    Everything here is a Python float (``inv_phi`` included), so the
+    curves take their scalar path and no bracket update becomes
+    numpy-scalar arithmetic.
     """
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    inv_phi = (5.0 ** 0.5 - 1.0) / 2.0
     lo = max(max(0.0, pair_budget - cap_j), center - width)
     hi = min(min(cap_i, pair_budget), center + width)
     if hi - lo < 1e-12:
         return fallback
 
+    value = coefficients.value
+
     def value_at(c_i: float) -> float:
-        q_i = float(curve_i(c_i))
-        q_j = float(curve_j(pair_budget - c_i))
-        return coefficients.value(q_i, q_j)
+        return value(curve_i(c_i), curve_j(pair_budget - c_i))
 
     a, b = lo, hi
     x1 = b - inv_phi * (b - a)

@@ -21,7 +21,7 @@ is exposed as :meth:`SeedProbabilityCurve.is_insensitive`.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -45,15 +45,34 @@ _ENDPOINT_TOLERANCE = 1e-9
 _VALIDATION_GRID = 257  # grid size for numeric monotonicity / range checks
 
 
+def _clip_unit(x: float) -> float:
+    """``np.clip(x, 0.0, 1.0)`` on one float: -0.0 and NaN pass through."""
+    if x < 0.0:
+        return 0.0
+    if x > 1.0:
+        return 1.0
+    return x
+
+
 class SeedProbabilityCurve(abc.ABC):
     """Abstract seed-probability function.
 
     Subclasses implement scalar :meth:`_evaluate` and :meth:`_derivative`;
     vectorized evaluation, axiom validation and utility predicates are
     provided here.
+
+    A subclass whose ``_evaluate`` also takes a Python float, and returns
+    the same bits as on a 0-d array, sets ``_float_evaluate = True``: a
+    ``float`` discount (``np.float64`` included) then skips the array
+    machinery in :meth:`__call__`.  Every other input, and every curve
+    without the flag, takes the array path.
+
+    :meth:`spec` names the function as plain data (class plus parameters)
+    for checkpoint content keys; a subclass with parameters overrides it.
     """
 
     name: str = "curve"
+    _float_evaluate: bool = False
 
     @abc.abstractmethod
     def _evaluate(self, c: np.ndarray) -> np.ndarray:
@@ -68,6 +87,11 @@ class SeedProbabilityCurve(abc.ABC):
     # ------------------------------------------------------------------
     def __call__(self, c):
         """Evaluate ``p(c)``; accepts scalars or arrays in ``[0, 1]``."""
+        if self._float_evaluate and isinstance(c, float):
+            x = float(c)
+            if x < -_ENDPOINT_TOLERANCE or x > 1.0 + _ENDPOINT_TOLERANCE:
+                raise CurveError(f"discount must lie in [0, 1], got {c!r}")
+            return _clip_unit(float(self._evaluate(_clip_unit(x))))
         arr = np.asarray(c, dtype=np.float64)
         if np.any(arr < -_ENDPOINT_TOLERANCE) or np.any(arr > 1.0 + _ENDPOINT_TOLERANCE):
             raise CurveError(f"discount must lie in [0, 1], got {c!r}")
@@ -97,6 +121,22 @@ class SeedProbabilityCurve(abc.ABC):
         if np.isscalar(c) or arr.ndim == 0:
             return float(result)
         return result
+
+    def spec(self) -> Dict[str, object]:
+        """The curve as plain data: its class and parameters.
+
+        Checkpoint content keys hash it, so two curves with equal specs
+        must be the same function.  The base class knows no parameters and
+        raises; every built-in curve overrides it.
+        """
+        raise CurveError(
+            f"{type(self).__qualname__} has no spec(); override spec() to "
+            "name its parameters so checkpoints can key it"
+        )
+
+    def _spec(self, **parameters) -> Dict[str, object]:
+        cls = type(self)
+        return {"class": f"{cls.__module__}.{cls.__qualname__}", **parameters}
 
     # ------------------------------------------------------------------
     # validation and predicates
@@ -147,6 +187,7 @@ class LinearCurve(SeedProbabilityCurve):
     """``p(c) = c`` — the benchmark curve (dashed reference in Figure 2)."""
 
     name = "linear"
+    _float_evaluate = True
 
     def _evaluate(self, c: np.ndarray) -> np.ndarray:
         return c
@@ -154,17 +195,24 @@ class LinearCurve(SeedProbabilityCurve):
     def _derivative(self, c: np.ndarray) -> np.ndarray:
         return np.ones_like(c)
 
+    def spec(self) -> Dict[str, object]:
+        return self._spec()
+
 
 class QuadraticCurve(SeedProbabilityCurve):
     """``p(c) = c^2`` — discount-insensitive users (5% in the paper)."""
 
     name = "quadratic"
+    _float_evaluate = True
 
     def _evaluate(self, c: np.ndarray) -> np.ndarray:
         return c * c
 
     def _derivative(self, c: np.ndarray) -> np.ndarray:
         return 2.0 * c
+
+    def spec(self) -> Dict[str, object]:
+        return self._spec()
 
 
 class ConcaveCurve(SeedProbabilityCurve):
@@ -175,12 +223,16 @@ class ConcaveCurve(SeedProbabilityCurve):
     """
 
     name = "concave"
+    _float_evaluate = True
 
     def _evaluate(self, c: np.ndarray) -> np.ndarray:
         return 2.0 * c - c * c
 
     def _derivative(self, c: np.ndarray) -> np.ndarray:
         return 2.0 - 2.0 * c
+
+    def spec(self) -> Dict[str, object]:
+        return self._spec()
 
 
 class PowerCurve(SeedProbabilityCurve):
@@ -189,6 +241,8 @@ class PowerCurve(SeedProbabilityCurve):
     ``exponent > 1`` is insensitive, ``exponent < 1`` sensitive,
     ``exponent == 1`` linear.
     """
+
+    _float_evaluate = True
 
     def __init__(self, exponent: float) -> None:
         if exponent <= 0.0:
@@ -204,6 +258,9 @@ class PowerCurve(SeedProbabilityCurve):
             d = self.exponent * np.power(c, self.exponent - 1.0)
         return np.nan_to_num(d, nan=0.0, posinf=0.0)
 
+    def spec(self) -> Dict[str, object]:
+        return self._spec(exponent=self.exponent)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PowerCurve({self.exponent!r})"
 
@@ -215,6 +272,8 @@ class LogisticCurve(SeedProbabilityCurve):
     sigma(-k mid))`` — models users with an adoption "tipping point" at
     ``mid``; steeper for larger ``k``.
     """
+
+    _float_evaluate = True
 
     def __init__(self, steepness: float = 8.0, midpoint: float = 0.5) -> None:
         if steepness <= 0.0:
@@ -241,6 +300,9 @@ class LogisticCurve(SeedProbabilityCurve):
         sig = self._sigma(c)
         return self.steepness * sig * (1.0 - sig) / self._scale
 
+    def spec(self) -> Dict[str, object]:
+        return self._spec(steepness=self.steepness, midpoint=self.midpoint)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LogisticCurve(steepness={self.steepness!r}, midpoint={self.midpoint!r})"
 
@@ -253,6 +315,8 @@ class PiecewiseLinearCurve(SeedProbabilityCurve):
     levels and interpolate.  Knots must start at ``(0, 0)``, end at
     ``(1, 1)`` and be non-decreasing in both coordinates.
     """
+
+    _float_evaluate = True
 
     def __init__(self, knots: Sequence[Tuple[float, float]]) -> None:
         pts = sorted((float(x), float(y)) for x, y in knots)
@@ -280,6 +344,9 @@ class PiecewiseLinearCurve(SeedProbabilityCurve):
         segment = np.clip(np.searchsorted(self._xs, c, side="right") - 1, 0, slopes.size - 1)
         return slopes[segment]
 
+    def spec(self) -> Dict[str, object]:
+        return self._spec(knots=[[float(x), float(y)] for x, y in zip(self._xs, self._ys)])
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PiecewiseLinearCurve({list(zip(self._xs, self._ys))!r})"
 
@@ -288,7 +355,10 @@ class CallableCurve(SeedProbabilityCurve):
     """Wrap arbitrary callables as a curve (validated on construction).
 
     The derivative defaults to a central finite difference when no
-    analytic derivative is supplied.
+    analytic derivative is supplied.  A function cannot be hashed by
+    content, so ``key`` names it for checkpoint content keys: two curves
+    with the same key must be the same function.  ``func`` always receives
+    numpy input (an array, or a numpy scalar for a scalar discount).
     """
 
     def __init__(
@@ -296,10 +366,15 @@ class CallableCurve(SeedProbabilityCurve):
         func: Callable[[np.ndarray], np.ndarray],
         derivative: Callable[[np.ndarray], np.ndarray] | None = None,
         name: str = "callable",
+        *,
+        key: str,
     ) -> None:
+        if not isinstance(key, str) or not key:
+            raise CurveError(f"key must be a non-empty string, got {key!r}")
         self._func = func
         self._deriv = derivative
         self.name = name
+        self.key = key
         self.validate()
 
     def _evaluate(self, c: np.ndarray) -> np.ndarray:
@@ -312,6 +387,9 @@ class CallableCurve(SeedProbabilityCurve):
         lo = np.clip(c - h, 0.0, 1.0)
         hi = np.clip(c + h, 0.0, 1.0)
         return (self._evaluate(hi) - self._evaluate(lo)) / np.maximum(hi - lo, 1e-12)
+
+    def spec(self) -> Dict[str, object]:
+        return self._spec(key=self.key)
 
 
 # The paper's three experiment curves, as shared singletons.

@@ -134,6 +134,23 @@ class CurvePopulation:
             out[nodes] = self._group_curves[key](discount)
         return out
 
+    def spec(self) -> Dict[str, object]:
+        """The population as plain data, for checkpoint content keys.
+
+        ``curves`` lists the distinct curve specs in first-node order and
+        ``assignment`` maps each node to its index there, so two
+        populations share a spec exactly when every node has the same
+        curve function — whichever objects carry them.
+        """
+        specs: List[Dict[str, object]] = []
+        assignment = np.empty(self.num_nodes, dtype=np.int64)
+        for key, nodes in self._groups.items():
+            spec = self._group_curves[key].spec()
+            if spec not in specs:
+                specs.append(spec)
+            assignment[nodes] = specs.index(spec)
+        return {"curves": specs, "assignment": assignment}
+
     def all_insensitive(self) -> bool:
         """Theorem 6 precondition: every user's curve has ``p(c) <= c``."""
         return all(

@@ -102,11 +102,11 @@ def content_key(**parts) -> str:
 def problem_fingerprint(problem) -> Dict[str, object]:
     """The content of a problem that keys its checkpoints.
 
-    The graph's CSR arrays, the budget, and the curve responses on a
-    fixed grid — which pin down the population without needing every
-    curve class to be individually hashable.  Shared by the experiment
-    runner and the adaptive sampling driver, so both key the same
-    problem identically.
+    The graph's CSR arrays, the budget, and the population's spec (each
+    distinct curve's class and parameters plus the node-to-curve map), so
+    two problems share keys only when every user has the same curve.
+    Shared by the experiment runner and the adaptive sampling driver, so
+    both key the same problem identically.
     """
     graph = problem.graph
     return {
@@ -116,8 +116,7 @@ def problem_fingerprint(problem) -> Dict[str, object]:
         "out_targets": graph.out_targets,
         "out_probs": graph.out_probs,
         "budget": float(problem.budget),
-        "curves": problem.population.probabilities_at(0.25),
-        "curves_hi": problem.population.probabilities_at(0.75),
+        "population": problem.population.spec(),
     }
 
 

@@ -155,24 +155,26 @@ class TestInvalidCurves:
 
     def test_callable_violating_axioms_rejected(self):
         with pytest.raises(CurveError):
-            CallableCurve(lambda c: 0.5 * c)  # p(1) = 0.5 != 1
+            CallableCurve(lambda c: 0.5 * c, key="half")  # p(1) = 0.5 != 1
         with pytest.raises(CurveError):
-            CallableCurve(lambda c: 1.0 - c)  # decreasing
+            CallableCurve(lambda c: 1.0 - c, key="flip")  # decreasing
 
 
 class TestCallableCurve:
     def test_wraps_valid_function(self):
-        curve = CallableCurve(lambda c: np.asarray(c) ** 3, name="cubic")
+        curve = CallableCurve(lambda c: np.asarray(c) ** 3, name="cubic", key="cube")
         assert curve(0.5) == pytest.approx(0.125)
         curve.validate()
 
     def test_finite_difference_derivative(self):
-        curve = CallableCurve(lambda c: np.asarray(c) ** 2)
+        curve = CallableCurve(lambda c: np.asarray(c) ** 2, key="square")
         assert curve.derivative(0.5) == pytest.approx(1.0, abs=1e-4)
 
     def test_analytic_derivative_used_when_given(self):
         curve = CallableCurve(
-            lambda c: np.asarray(c) ** 2, derivative=lambda c: 2 * np.asarray(c)
+            lambda c: np.asarray(c) ** 2,
+            derivative=lambda c: 2 * np.asarray(c),
+            key="square",
         )
         assert curve.derivative(0.3) == pytest.approx(0.6)
 

@@ -5,9 +5,19 @@ import json
 import numpy as np
 import pytest
 
-from repro.exceptions import CheckpointError
+from repro.core.curves import (
+    CallableCurve,
+    ConcaveCurve,
+    LinearCurve,
+    PiecewiseLinearCurve,
+    SeedProbabilityCurve,
+)
+from repro.core.population import CurvePopulation
+from repro.core.problem import CIMProblem
+from repro.exceptions import CheckpointError, CurveError
 from repro.io.serialization import atomic_write_text
 from repro.runtime import CheckpointStore, content_key
+from repro.runtime.checkpoint import problem_fingerprint
 
 
 class TestContentKey:
@@ -206,6 +216,58 @@ class TestQuarantineAndSalvage:
         assert store.salvage_json("nope") is None
         assert store.salvage_arrays("nope") is None
         assert list(store.directory.iterdir()) == []  # nothing quarantined
+
+
+def _keyed(problem, curves) -> str:
+    population = CurvePopulation(curves)
+    return content_key(
+        problem=problem_fingerprint(CIMProblem(problem.model, population, problem.budget))
+    )
+
+
+class TestProblemFingerprint:
+    """Checkpoint keys identify the curve of every user, not a sample of it."""
+
+    def test_curves_agreeing_at_sample_points_get_different_keys(self, small_problem):
+        n = small_problem.num_nodes
+        # Equal at 0.25 and 0.75, different at 0.5.
+        low = PiecewiseLinearCurve([(0, 0), (0.25, 0.4), (0.5, 0.45), (0.75, 0.8), (1, 1)])
+        high = PiecewiseLinearCurve([(0, 0), (0.25, 0.4), (0.5, 0.7), (0.75, 0.8), (1, 1)])
+        assert low(0.25) == high(0.25) and low(0.75) == high(0.75)
+        assert low(0.5) != high(0.5)
+        assert _keyed(small_problem, [low] * n) != _keyed(small_problem, [high] * n)
+
+    def test_keyed_by_function_not_object(self, small_problem):
+        n = small_problem.num_nodes
+        shared = LinearCurve()
+        distinct = [LinearCurve() for _ in range(n)]
+        assert _keyed(small_problem, [shared] * n) == _keyed(small_problem, distinct)
+
+    def test_node_to_curve_map_is_keyed(self, small_problem):
+        n = small_problem.num_nodes
+        linear, concave = LinearCurve(), ConcaveCurve()
+        first = [linear] + [concave] * (n - 1)
+        last = [concave] * (n - 1) + [linear]
+        assert _keyed(small_problem, first) != _keyed(small_problem, last)
+
+    def test_callable_curves_keyed_by_their_key(self, small_problem):
+        n = small_problem.num_nodes
+        cube = CallableCurve(lambda c: np.asarray(c) ** 3, key="cube")
+        also_cube = CallableCurve(lambda c: np.asarray(c) ** 3, key="cube")
+        square = CallableCurve(lambda c: np.asarray(c) ** 2, key="square")
+        assert _keyed(small_problem, [cube] * n) == _keyed(small_problem, [also_cube] * n)
+        assert _keyed(small_problem, [cube] * n) != _keyed(small_problem, [square] * n)
+
+    def test_curve_without_spec_cannot_be_keyed(self, small_problem):
+        class Custom(SeedProbabilityCurve):
+            def _evaluate(self, c):
+                return c
+
+            def _derivative(self, c):
+                return np.ones_like(c)
+
+        with pytest.raises(CurveError, match="spec"):
+            _keyed(small_problem, [Custom()] * small_problem.num_nodes)
 
 
 class TestAtomicWrite:
