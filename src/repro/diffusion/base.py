@@ -9,6 +9,12 @@ everything above this layer only needs
 * :meth:`DiffusionModel.sample_rr_set` — one reverse-reachable set, the
   polling primitive of Section 8 (available for triggering models).
 
+The RR-set sampler draws a chunk of sets through one hook,
+:meth:`DiffusionModel.rr_sampler`: a per-root callable over a generator
+the caller hands over for good.  Its default calls ``sample_rr_set``; a
+model may override it to draw ahead of the sets it returns (IC draws its
+coins in blocks), so the caller must not reuse ``rng`` afterwards.
+
 Concrete models: :class:`repro.diffusion.independent_cascade.IndependentCascade`,
 :class:`repro.diffusion.linear_threshold.LinearThreshold`, and the general
 :class:`repro.diffusion.triggering.TriggeringModel`.
@@ -17,7 +23,7 @@ Concrete models: :class:`repro.diffusion.independent_cascade.IndependentCascade`
 from __future__ import annotations
 
 import abc
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -60,6 +66,16 @@ class DiffusionModel(abc.ABC):
     # ------------------------------------------------------------------
     # shared conveniences
     # ------------------------------------------------------------------
+    def rr_sampler(self, rng: np.random.Generator) -> Callable[[int], Sequence[int]]:
+        """A callable ``root -> RR set`` that samples from ``rng``.
+
+        Successive calls return exactly the sets that successive
+        ``sample_rr_set(root, rng)`` calls would.  An override may draw
+        from ``rng`` ahead of the sets it has returned, so ``rng`` belongs
+        to the sampler: the caller must not draw from it again.
+        """
+        return lambda root: self.sample_rr_set(root, rng)
+
     def sample_cascade_size(self, seeds: Sequence[int], rng: np.random.Generator) -> int:
         """Size of one random cascade (``|cascade|``)."""
         return int(self.sample_cascade(seeds, rng).size)

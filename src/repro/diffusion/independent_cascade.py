@@ -9,71 +9,75 @@ weighted-cascade probabilities ``alpha / in_degree(v)``.
 
 Implementation notes
 --------------------
-Forward cascades and reverse RR sampling are array-based BFS loops: the
-frontier is a growing ``int64`` buffer, visitation is a reusable ``uint8``
-stamp array (stamped with a per-call epoch so it never needs clearing), and
-each node's coin flips are one vectorized ``rng.random(deg) < probs``
-comparison.  Both kernels read plain ``ndarray`` views of the graph's CSR
-arrays, taken once per call: on a spill-backed graph those arrays are
-``np.memmap`` instances, and every per-node slice of one would go through
-the subclass's Python-level ``__getitem__``.
+Forward cascades and reverse RR sampling are one per-node BFS,
+:func:`_reach`, on the out-CSR and the in-CSR.  A node's coin flips are
+one ``draw(deg) < probs`` comparison; the successes (about one per node
+under weighted cascade) are deduplicated through a Python ``set``.  It
+reads plain ``ndarray`` views of the CSR arrays: sliced per node, a
+spill-backed ``np.memmap`` would run its Python-level ``__getitem__``.
+:meth:`IndependentCascade.rr_sampler` serves the coins from blocks drawn
+ahead; ``random(a)`` then ``random(b)`` give the bits of ``random(a + b)``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
 from repro.diffusion.base import DiffusionModel
-from repro.graphs.digraph import DiGraph
 
 __all__ = ["IndependentCascade"]
+
+#: Uniforms drawn per refill of :meth:`IndependentCascade.rr_sampler`'s buffer.
+_BLOCK = 4096
+
+
+def _reach(start: List[int], draw, offsets, neighbors, probs) -> List[int]:
+    """Nodes reached from ``start`` in one IC realization, in BFS order.
+
+    ``draw(k)`` returns ``k`` uniforms.  A node's coins are drawn before
+    filtering and masking keeps slice order, so stream use and BFS order
+    are those of a per-neighbor loop.  ``DiGraph`` rejects duplicate
+    neighbors within a slice, so only earlier visits need filtering.
+    """
+    reached = list(start)
+    seen = set(reached)
+    for node in reached:  # the list grows while it is walked: BFS order
+        lo, hi = offsets[node : node + 2].tolist()
+        if lo == hi:
+            continue
+        for fresh in neighbors[lo:hi][draw(hi - lo) < probs[lo:hi]].tolist():
+            if fresh not in seen:
+                seen.add(fresh)
+                reached.append(fresh)
+    return reached
+
+
+def _block_draws(rng: np.random.Generator) -> Callable[[int], np.ndarray]:
+    """``rng.random`` served from buffers drawn :data:`_BLOCK` at a time."""
+    buffer = np.empty(0)
+    position = 0
+
+    def draw(count: int) -> np.ndarray:
+        nonlocal buffer, position
+        if position + count > buffer.size:  # keep the unread tail in front
+            buffer = np.concatenate((buffer[position:], rng.random(max(_BLOCK, count))))
+            position = 0
+        position += count
+        return buffer[position - count : position]
+
+    return draw
 
 
 class IndependentCascade(DiffusionModel):
     """IC model over ``graph``'s per-edge probabilities."""
 
-    def __init__(self, graph: DiGraph) -> None:
-        super().__init__(graph)
-        # Reusable visitation stamps; epoch increments per traversal, so a
-        # node is "visited" iff its stamp equals the current epoch.
-        self._stamp = np.zeros(graph.num_nodes, dtype=np.int64)
-        self._epoch = 0
-
-    def _next_epoch(self) -> int:
-        self._epoch += 1
-        return self._epoch
-
     def sample_cascade(self, seeds: Sequence[int], rng: np.random.Generator) -> np.ndarray:
         """One forward IC cascade; returns activated nodes in BFS order."""
-        seeds = self._validate_seeds(seeds)
         graph = self.graph
-        epoch = self._next_epoch()
-        stamp = self._stamp
-
-        activated = list(seeds.tolist())
-        stamp[seeds] = epoch
-        head = 0
-        offsets, targets, probs = map(
-            np.asarray, (graph.out_offsets, graph.out_targets, graph.out_probs)
-        )
-        while head < len(activated):
-            u = activated[head]
-            head += 1
-            lo, hi = offsets[u], offsets[u + 1]
-            if lo == hi:
-                continue
-            # DiGraph's constructor rejects duplicate targets within a
-            # neighbor slice, so the stamp mask needs no in-batch dedup.
-            # Masking preserves slice order, and the coin flips are drawn
-            # before filtering — RNG consumption and BFS order are
-            # identical to the historical per-neighbor loop.
-            success = rng.random(hi - lo) < probs[lo:hi]
-            fresh = targets[lo:hi][success]
-            fresh = fresh[stamp[fresh] != epoch]
-            stamp[fresh] = epoch
-            activated.extend(fresh.tolist())
+        out_csr = map(np.asarray, (graph.out_offsets, graph.out_targets, graph.out_probs))
+        activated = _reach(self._validate_seeds(seeds).tolist(), rng.random, *out_csr)
         return np.asarray(activated, dtype=np.int64)
 
     def sample_rr_set(self, root: int, rng: np.random.Generator) -> np.ndarray:
@@ -84,29 +88,20 @@ class IndependentCascade(DiffusionModel):
         poll of Section 8 ("the propagation probability of an edge (v, u) in
         G^T is pp_uv").
         """
-        graph = self.graph
-        if not 0 <= root < graph.num_nodes:
-            raise IndexError(f"root {root} not in graph with {graph.num_nodes} nodes")
-        epoch = self._next_epoch()
-        stamp = self._stamp
+        return np.asarray(self._rr_sampler(rng.random)(root), dtype=np.int64)
 
-        reached = [root]
-        stamp[root] = epoch
-        head = 0
-        offsets, sources, probs = map(
-            np.asarray, (graph.in_offsets, graph.in_sources, graph.in_probs)
-        )
-        while head < len(reached):
-            v = reached[head]
-            head += 1
-            lo, hi = offsets[v], offsets[v + 1]
-            if lo == hi:
-                continue
-            # Same vectorized frontier step as ``sample_cascade`` (simple
-            # graph: in-neighbor slices carry no duplicates).
-            success = rng.random(hi - lo) < probs[lo:hi]
-            fresh = sources[lo:hi][success]
-            fresh = fresh[stamp[fresh] != epoch]
-            stamp[fresh] = epoch
-            reached.extend(fresh.tolist())
-        return np.asarray(reached, dtype=np.int64)
+    def rr_sampler(self, rng: np.random.Generator) -> Callable[[int], Sequence[int]]:
+        """:meth:`sample_rr_set` as lists, its coins drawn ahead in blocks."""
+        return self._rr_sampler(_block_draws(rng))
+
+    def _rr_sampler(self, draw: Callable[[int], np.ndarray]) -> Callable[[int], List[int]]:
+        graph = self.graph
+        num_nodes = graph.num_nodes
+        in_csr = tuple(map(np.asarray, (graph.in_offsets, graph.in_sources, graph.in_probs)))
+
+        def sample(root: int) -> List[int]:
+            if not 0 <= root < num_nodes:
+                raise IndexError(f"root {root} not in graph with {num_nodes} nodes")
+            return _reach([root], draw, *in_csr)
+
+        return sample

@@ -6,7 +6,8 @@ hyper-edge*.  The intuition: nodes with high influence appear in many random
 hyper-edges.
 
 The model-specific reverse cascade is delegated to
-:meth:`repro.diffusion.base.DiffusionModel.sample_rr_set`, so this module
+:meth:`repro.diffusion.base.DiffusionModel.rr_sampler` (by default
+``sample_rr_set`` per root), so this module
 works unchanged for IC, LT and general triggering models.
 
 Polls are independent, so generation is chunked through the deterministic
@@ -80,14 +81,13 @@ def _rr_chunk_task(
     if roots is None:
         roots = rng.integers(0, model.num_nodes, size=count)
     budget = _chunk_deadline(remaining)
-    # The per-set loop is the hot path: index Python-int roots and call a
-    # bound method, not numpy scalars and an attribute lookup per set.
+    # The per-set loop is the hot path: index Python-int roots and call
+    # one sampler closure, not numpy scalars and a method lookup per set.
+    # The sampler may draw ahead of its sets (IC's block-drawn coins): it
+    # owns ``rng`` from here on, and the generator dies with the chunk.
     root_ids = roots.tolist()
-    sample = model.sample_rr_set
-    rr_sets = [
-        sample(root_ids[position], rng)
-        for position in deadline_iter(count, budget)
-    ]
+    sample = model.rr_sampler(rng)
+    rr_sets = [sample(root_ids[position]) for position in deadline_iter(count, budget)]
     chunk = pack_chunk(rr_sets, dtype, index)
     return chunk if store is None else store.write_chunk(index, *chunk)
 
@@ -166,7 +166,8 @@ def sample_rr_csr(
     Parameters
     ----------
     model:
-        Any diffusion model exposing ``sample_rr_set``.
+        Any diffusion model exposing ``sample_rr_set`` (sampled through
+        its ``rr_sampler`` hook, one per chunk).
     count:
         Number of hyper-edges ``theta`` to generate.
     seed:

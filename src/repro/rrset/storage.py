@@ -196,9 +196,13 @@ class ChunkCSR(NamedTuple):
 
 
 def pack_chunk(
-    rr_sets: Sequence[np.ndarray], dtype: Union[str, np.dtype], index: int = 0
+    rr_sets: Sequence[Sequence[int]], dtype: Union[str, np.dtype], index: int = 0
 ) -> ChunkCSR:
     """Concatenate one chunk's RR sets into a :class:`ChunkCSR` at ``dtype``.
+
+    Each set is an ``int64`` array or a list of Python ints (the two forms
+    :meth:`~repro.diffusion.base.DiffusionModel.rr_sampler` returns);
+    ``np.concatenate`` takes both.
 
     The member stream is range-checked *before* the narrowing cast — a
     silent wraparound here would corrupt the hyper-graph undetectably

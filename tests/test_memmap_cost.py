@@ -103,6 +103,16 @@ class TestKernels:
         assert memmap_calls[0] == 0
 
     @pytest.mark.parametrize("model_cls", MODELS, ids=lambda cls: cls.__name__)
+    def test_rr_sampler_makes_no_memmap_slices(self, memmap_calls, spill_graph, model_cls):
+        # IC's block-drawn sampler and the default hook on LT and triggering.
+        model = model_cls(spill_graph[0])
+        memmap_calls[0] = 0
+        sample = model.rr_sampler(np.random.default_rng(1))
+        reached = sum(len(sample(root)) for root in range(0, 400, 4))
+        assert reached > 100
+        assert memmap_calls[0] == 0
+
+    @pytest.mark.parametrize("model_cls", MODELS, ids=lambda cls: cls.__name__)
     def test_sample_cascade_makes_no_memmap_slices(self, memmap_calls, spill_graph, model_cls):
         model = model_cls(spill_graph[0])
         rng = np.random.default_rng(2)
