@@ -19,8 +19,9 @@ from typing import Optional
 import numpy as np
 
 from repro.exceptions import GraphError
-from repro.graphs.build import GraphBuilder
+from repro.graphs.build import GraphBuilder, sorted_unique
 from repro.graphs.digraph import DiGraph
+from repro.obs.context import get_tracer
 from repro.utils.rng import SeedLike, as_generator
 
 __all__ = [
@@ -225,6 +226,24 @@ def powerlaw_configuration(
     from repro.utils.spill import resolve_backing
 
     backing_mode = resolve_backing(backing)
+    with get_tracer().span(
+        "graphs.configuration", nodes=n, directed=directed, backing=backing_mode
+    ) as span:
+        graph = _configuration(n, exponent, average_degree, seed, directed, backing_mode, spill_dir)
+        span.set(edges=graph.num_edges)
+    return graph
+
+
+def _configuration(
+    n: int,
+    exponent: float,
+    average_degree: float,
+    seed: SeedLike,
+    directed: bool,
+    backing_mode: str,
+    spill_dir,
+) -> DiGraph:
+    """:func:`powerlaw_configuration` after its argument checks."""
     rng = as_generator(seed)
     max_degree = max(2, int(math.sqrt(n) * 2))
     support = np.arange(1, max_degree + 1, dtype=np.float64)
@@ -260,10 +279,10 @@ def powerlaw_configuration(
     # Assemble the CSR directly instead of feeding a GraphBuilder one edge
     # at a time: at com-LiveJournal scale the stub list is ~70M entries and
     # Python-level appends dominate both time and memory.  Encoding each
-    # pair as ``u * n + v`` makes np.unique's ascending sort equal to the
-    # builder's stable (source, target) lexsort, and all probabilities are
-    # 1.0, so last-duplicate-wins is moot — the result is bit-identical to
-    # the builder path (self-loops dropped, duplicates collapsed).
+    # pair as ``u * n + v`` makes the sorted distinct keys the builder's
+    # (source, target) order, and all probabilities are 1.0, so
+    # last-duplicate-wins is moot — the result is bit-identical to the
+    # builder path (self-loops dropped, duplicates collapsed).
     keep = left != right
     left, right = left[keep], right[keep]
     if directed:
@@ -271,7 +290,9 @@ def powerlaw_configuration(
     else:
         keys = np.concatenate([left * n + right, right * n + left])
     del left, right, stubs
-    keys = np.unique(keys)
+    with get_tracer().span("graphs.dedup", keys=int(keys.size)) as span:
+        keys = sorted_unique(keys)
+        span.set(edges=int(keys.size))
     sources = keys // n
     targets = (keys % n).astype(np.int32)
     out_offsets = np.zeros(n + 1, dtype=np.int64)

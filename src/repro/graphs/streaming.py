@@ -1,13 +1,12 @@
 """Bounded-memory configuration-model assembly on spill files.
 
 The in-heap `powerlaw_configuration` path materializes the whole stub
-list (~70M ``int64`` at com-LiveJournal scale), the doubled ``u*n+v``
-key stream (~140M entries) and ``np.unique``'s sort copy — several GB of
-transient heap for a graph whose final CSR is a fraction of that.  This
-module rebuilds the same pipeline out of *passes over spill files*
-(:mod:`repro.utils.spill`), keeping the coordinator's anonymous heap at
-O(n) (degree/offset vectors) plus one O(chunk) transient, regardless of
-edge count:
+list (~70M ``int64`` at com-LiveJournal scale) and the doubled ``u*n+v``
+key stream (~140M entries) — several GB of transient heap for a graph
+whose final CSR is a fraction of that.  This module rebuilds the same
+pipeline out of *passes over spill files* (:mod:`repro.utils.spill`),
+keeping the coordinator's anonymous heap at O(n) (degree/offset vectors)
+plus one O(chunk) transient, regardless of edge count:
 
 1. **Stub spill.**  ``np.repeat(arange(n), degrees)`` is written chunk
    by chunk into a file-backed array, then shuffled in place through a
@@ -26,11 +25,13 @@ edge count:
    over ``key // fine_width`` sizes ~64K fine ranges, greedily grouped
    into coarse buckets of bounded entry count; a scatter pass copies
    each chunk's keys into their bucket extents (stable within a chunk);
-   then each bucket — a disjoint, ascending key range — is
-   ``np.unique``'d *in core* and compacted forward.  Concatenating
-   per-range ``np.unique`` results over ascending disjoint ranges is
-   exactly ``np.unique`` of the whole stream, so the deduped key spill
-   is bit-identical to the heap path's ``np.unique(keys)``.
+   then each bucket — a disjoint, ascending key range — is sorted *in
+   place* and compacted forward by
+   :func:`repro.graphs.build.sorted_unique` (an adjacent-difference
+   mask; no hash table, no copy).  Concatenating the per-range distinct
+   keys over ascending disjoint ranges gives the distinct keys of the
+   whole stream, so the deduped key spill is bit-identical to the heap
+   path's ``sorted_unique(keys)``, which equals ``np.unique(keys)``.
 4. **CSR extraction.**  Decode sources/targets chunkwise into
    spill-backed CSR arrays (all probabilities 1.0).  For undirected
    graphs the key set is symmetric, so the in-adjacency *is* the
@@ -51,7 +52,9 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
+from repro.graphs.build import sorted_unique
 from repro.graphs.digraph import DiGraph
+from repro.obs.context import get_tracer
 from repro.utils.spill import release_pages, spill_array
 
 __all__ = ["streaming_configuration_csr"]
@@ -137,8 +140,8 @@ def _sort_unique_spill(
     Two passes plus an in-core sweep: histogram ``key // fine_width``
     into ~64K fine ranges, group them into coarse buckets of at most
     ``bucket_entries`` (+ one fine range) entries, scatter every key
-    into its bucket's extent of a scratch spill, then ``np.unique`` each
-    bucket in core and compact the results forward.  Buckets partition
+    into its bucket's extent of a scratch spill, then sort each bucket
+    in place and compact its distinct keys forward.  Buckets partition
     the key space into ascending disjoint ranges, so the concatenation
     of their sorted deduped contents is the sorted deduped whole.
     """
@@ -164,8 +167,11 @@ def _sort_unique_spill(
         order = np.argsort(bucket_ids, kind="stable")
         sorted_keys = block[order]
         sorted_ids = bucket_ids[order]
-        present, segment_starts = np.unique(sorted_ids, return_index=True)
-        segment_ends = np.append(segment_starts[1:], sorted_ids.size)
+        # The ids are sorted, so each bucket's segment ends where they change.
+        change = np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1
+        segment_starts = np.append(0, change)
+        segment_ends = np.append(change, sorted_ids.size)
+        present = sorted_ids[segment_starts]
         for bucket, seg_lo, seg_hi in zip(present, segment_starts, segment_ends):
             at = cursors[bucket]
             scratch[at : at + (seg_hi - seg_lo)] = sorted_keys[seg_lo:seg_hi]
@@ -179,7 +185,7 @@ def _sort_unique_spill(
         lo, hi = int(bucket_starts[bucket]), int(bucket_starts[bucket + 1])
         if hi == lo:
             continue
-        unique = np.unique(np.asarray(scratch[lo:hi]))
+        unique = sorted_unique(np.asarray(scratch[lo:hi]))
         scratch[write_at : write_at + unique.size] = unique
         write_at += unique.size
         release_pages(scratch)
@@ -237,9 +243,11 @@ def streaming_configuration_csr(
     rng.shuffle(stubs.view(np.ndarray))
     keys, key_count = _write_key_spill(stubs, n, directed, spill_dir, chunk)
     del stubs
-    sorted_keys, num_edges = _sort_unique_spill(
-        keys, key_count, n, spill_dir, chunk, bucket_entries
-    )
+    with get_tracer().span("graphs.dedup", keys=key_count) as span:
+        sorted_keys, num_edges = _sort_unique_spill(
+            keys, key_count, n, spill_dir, chunk, bucket_entries
+        )
+        span.set(edges=num_edges)
     del keys
     out_offsets, out_targets, out_probs = _csr_from_sorted_keys(
         sorted_keys, num_edges, n, spill_dir, chunk
@@ -258,9 +266,11 @@ def streaming_configuration_csr(
             )
         release_pages(reversed_keys)
         del sorted_keys
-        sorted_reversed, reversed_count = _sort_unique_spill(
-            reversed_keys, num_edges, n, spill_dir, chunk, bucket_entries
-        )
+        with get_tracer().span("graphs.dedup", keys=num_edges) as span:
+            sorted_reversed, reversed_count = _sort_unique_spill(
+                reversed_keys, num_edges, n, spill_dir, chunk, bucket_entries
+            )
+            span.set(edges=reversed_count)
         del reversed_keys
         in_offsets, in_sources, in_probs = _csr_from_sorted_keys(
             sorted_reversed, reversed_count, n, spill_dir, chunk

@@ -310,7 +310,8 @@ class TestObservabilityFlags:
         records = self._read_jsonl(trace)
         assert records, "trace is empty"
         roots = [r for r in records if r["parent"] is None]
-        assert [r["name"] for r in roots] == ["solve"]
+        # Reading the network is its own root span, then the solve.
+        assert [r["name"] for r in roots] == ["graphs.read", "solve"]
         ids = {r["id"] for r in records}
         assert all(r["parent"] in ids for r in records if r["parent"] is not None)
         assert "rrset.sample" in {r["name"] for r in records}
