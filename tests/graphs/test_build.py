@@ -1,9 +1,10 @@
 """Unit tests for GraphBuilder and from_edges."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import GraphError
-from repro.graphs.build import GraphBuilder, from_edges
+from repro.graphs.build import GraphBuilder, csr_from_arrays, from_edges
 
 
 class TestGraphBuilder:
@@ -97,3 +98,21 @@ class TestFromEdges:
     def test_bad_tuple_arity(self):
         with pytest.raises(GraphError):
             from_edges([(0,)])
+
+
+class TestCsrFromArrays:
+    def _columns(self, sources, targets):
+        return (
+            np.asarray(sources, dtype=np.int64),
+            np.asarray(targets, dtype=np.int64),
+            np.full(len(sources), 0.5),
+        )
+
+    def test_id_beyond_fixed_node_count_rejected(self):
+        # One source * n + target key per edge would decode 0 -> 5 as 1 -> 2.
+        with pytest.raises(GraphError, match="node id 5 exceeds fixed node count 3"):
+            csr_from_arrays(*self._columns([0], [5]), num_nodes=3)
+
+    def test_negative_id_rejected(self):
+        with pytest.raises(GraphError, match="must be non-negative"):
+            csr_from_arrays(*self._columns([2, -1], [0, 1]))

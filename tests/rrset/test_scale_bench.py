@@ -125,6 +125,38 @@ class TestScaleReport:
             assert sampling["speedup_workers"] == 2
             assert reason.startswith(f"serial sampling took {serial:.3f}s")
 
+    def _sweep_repeats(self, monkeypatch, min_scaling_seconds):
+        """Best-of counts the worker sweep asks for, on a 2-core host."""
+        from repro.rrset import bench
+
+        repeats = []
+        best_of = bench._best_of
+
+        def recording(count, fn):
+            repeats.append(count)
+            return best_of(count, fn)
+
+        monkeypatch.setattr(bench, "_best_of", recording)
+        monkeypatch.setattr(bench, "_MIN_SCALING_SECONDS", min_scaling_seconds)
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 2)
+        report = run_scale_benchmark(
+            graph_scale=0.005, rr_sets=512, budget=5.0, workers=(1, 2), seed=2016
+        )
+        return repeats, report
+
+    def test_unmeasured_sweep_times_each_row_once(self, monkeypatch):
+        repeats, report = self._sweep_repeats(monkeypatch, float("inf"))
+        assert repeats == [1, 1]
+        assert report["summary"]["checks"]["sampling_speedup_ok"] == "skip"
+
+    def test_measured_sweep_discards_a_warm_up_sweep(self, monkeypatch):
+        from repro.rrset.bench import _SCALE_REPEATS
+
+        repeats, report = self._sweep_repeats(monkeypatch, 0.0)
+        assert repeats == [1, 1, _SCALE_REPEATS, _SCALE_REPEATS]
+        assert report["summary"]["checks"]["sampling_speedup_ok"] in ("pass", "fail")
+        assert report["determinism"]["identical"] is True
+
     def test_digests_identical_across_modes_and_workers(self, report):
         determinism = report["determinism"]
         assert determinism["identical"] is True
