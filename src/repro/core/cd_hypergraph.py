@@ -38,7 +38,6 @@ from repro.exceptions import SolverError
 from repro.obs.context import get_metrics, get_tracer
 from repro.rrset.estimator import HypergraphObjective
 from repro.rrset.hypergraph import RRHypergraph
-from repro.rrset.reference import ReferenceObjective
 from repro.runtime.deadline import DeadlineLike, as_deadline
 
 __all__ = ["HypergraphCDResult", "coordinate_descent_hypergraph"]
@@ -103,7 +102,6 @@ def coordinate_descent_hypergraph(
     refine_iterations: int = 25,
     pair_strategy: str = "cyclic",
     deadline: DeadlineLike = None,
-    kernel: str = "vectorized",
     objective: Optional[HypergraphObjective] = None,
     constraints: Optional["ResolvedConstraints"] = None,
 ) -> HypergraphCDResult:
@@ -141,20 +139,15 @@ def coordinate_descent_hypergraph(
         feasible incumbent is returned with ``deadline_expired=True``
         (anytime behaviour — the descent is a monotone improvement over
         the warm start, so stopping early is always safe).
-    kernel:
-        ``"vectorized"`` — the incrementally-maintained
-        :class:`~repro.rrset.estimator.HypergraphObjective` (default);
-        ``"reference"`` — the pre-vectorization
-        :class:`~repro.rrset.reference.ReferenceObjective`, kept for
-        bit-exact regression pinning and benchmark baselines.  Both
-        kernels produce identical ``round_values`` and configurations.
     objective:
-        Optional pre-built :class:`~repro.rrset.estimator.HypergraphObjective`
-        over ``hypergraph`` to reuse instead of constructing a fresh one —
-        the adaptive driver's warm start, which saves the O(members)
-        survival rebuild between doubling stages.  Requires the
-        ``"vectorized"`` kernel; its probabilities are reset to match
-        ``initial`` unless they already do bit-for-bit.
+        Optional pre-built objective over ``hypergraph`` to use instead of
+        constructing a fresh
+        :class:`~repro.rrset.estimator.HypergraphObjective` — the adaptive
+        driver's warm start, which saves the O(members) survival rebuild
+        between doubling stages.  Any object bound to ``hypergraph`` with
+        the objective's solver methods is accepted (the test tree passes
+        its pre-vectorization oracle this way); its probabilities are
+        reset to match ``initial`` unless they already do bit-for-bit.
     constraints:
         Optional resolved solver constraints.  Pair selection is restricted
         to coordinates with a positive cap, each pair line search is
@@ -181,15 +174,9 @@ def coordinate_descent_hypergraph(
         # coordinates stay eligible (their slice is just shorter).
         coords = coords[constraints.upper[coords] > 0.0]
 
-    if kernel not in ("vectorized", "reference"):
-        raise SolverError(f"unknown objective kernel {kernel!r}")
-    objective_cls = HypergraphObjective if kernel == "vectorized" else ReferenceObjective
-
     population = problem.population
     discounts = initial.discounts.copy()
     if objective is not None:
-        if kernel != "vectorized":
-            raise SolverError("a reusable objective requires the vectorized kernel")
         if objective.hypergraph is not hypergraph:
             raise SolverError(
                 "the reusable objective is bound to a different hyper-graph"
@@ -198,7 +185,7 @@ def coordinate_descent_hypergraph(
         if not np.array_equal(objective.probabilities, wanted):
             objective.set_probabilities(wanted)
     else:
-        objective = objective_cls(hypergraph, population.probabilities(discounts))
+        objective = HypergraphObjective(hypergraph, population.probabilities(discounts))
     current_value = objective.value()
     round_values = [current_value]
 
@@ -309,7 +296,6 @@ def coordinate_descent_hypergraph(
         coordinates=int(coords.size),
         max_rounds=max_rounds,
         pair_strategy=pair_strategy,
-        kernel=kernel,
     ) as span:
         for _ in range(max_rounds):
             rounds_run += 1

@@ -22,7 +22,6 @@ import json
 import os
 import platform
 import sys
-import time
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -34,6 +33,7 @@ from repro.graphs.weights import assign_weighted_cascade
 from repro.obs.context import observe
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.pool import resolve_workers
+from repro.rrset.bench import _best_of
 from repro.rrset.sampler import sample_rr_sets
 
 __all__ = [
@@ -69,17 +69,6 @@ def _digest_rr(rr_sets: Sequence[np.ndarray]) -> str:
         hasher.update(np.ascontiguousarray(rr, dtype=np.int64).tobytes())
         hasher.update(b"|")
     return hasher.hexdigest()
-
-
-def _best_of(repeats: int, fn) -> tuple:
-    """Run ``fn`` ``repeats`` times; return (min seconds, last result)."""
-    best = float("inf")
-    result = None
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
 
 
 def run_scaling_benchmark(

@@ -1,73 +1,65 @@
-"""Benchmark for the vectorized RR-hypergraph / CD kernels.
+"""End-to-end benchmarks of the RR-hypergraph solvers and storage.
 
-Times each vectorized kernel against its pre-change reference twin
-(:mod:`repro.rrset.reference`) on a synthetic weighted-cascade graph —
-CSR build, ``coverage``, objective ``rebuild``, the ``pair_coefficients``
-step, and a full Section-8 coordinate-descent run — cross-checks that
-both implementations produce identical bits, audits the op-count metrics
-(the per-pair path must perform **zero** full O(theta) scans), and writes
-the record to ``BENCH_cd.json``.  Run it as a module::
+Run it as a module with exactly one of three modes; ``--smoke`` shrinks
+any of them to CI scale.
 
-    PYTHONPATH=src python -m repro.rrset.bench --out BENCH_cd.json
-    PYTHONPATH=src python -m repro.rrset.bench --smoke   # tiny CI mode
-
-``--adaptive`` switches to the end-to-end adaptive-sampling benchmark
-instead: a fixed-θ UD+CD pipeline races the doubling driver of
-:mod:`repro.rrset.adaptive` on the same instance and seed plan, recording
-wall-clock, final θ, the certified error bound, the quality gap at the
-certificate, worker-count bit-identity, and the ``adaptive.*`` /
-``cd.*`` op counters (stop reason included).  The record lands in
-``BENCH_adaptive.json``; both reports share the same top-level
-``summary`` block (benchmark name, ok flag, baseline/candidate seconds,
-speedup, named pass/fail/skip checks with each skip's reason) so per-PR
-trajectories are machine-comparable::
-
-    PYTHONPATH=src python -m repro.rrset.bench --adaptive
-    PYTHONPATH=src python -m repro.rrset.bench --adaptive --smoke
-
-``--solvers`` runs the solver-vs-solver matrix instead: UD, cyclic CD,
-lazy CD, projected gradient ascent, and Frank-Wolfe all solve the *same*
-instance on the *same* sampled hyper-graph, recording quality, wall-clock,
-objective-evaluation counts (``cd.pair_evals_total`` vs
+``--solvers`` runs the solver-vs-solver matrix: UD, cyclic CD, lazy CD,
+projected gradient ascent, and Frank-Wolfe all solve the *same*
+instance on the *same* sampled hyper-graph, recording quality,
+wall-clock, objective-evaluation counts (``cd.pair_evals_total`` vs
 ``gradient.objective_evals_total``), duality-gap certificates, and the
 spend of each row, plus a worker-count bit-identity cross-check for the
 gradient family.  The matrix is merged into an existing ``BENCH_cd.json``
 under the ``solver_matrix`` key (its checks folded into the top-level
-``summary``), or written standalone when no kernel report exists yet::
+``summary``), or written standalone when no kernel report exists yet.
+The kernel report itself (vectorized CD objective against the test
+tree's pre-vectorization oracle) is written by
+``benchmarks/test_cd_kernel.py``::
 
     PYTHONPATH=src python -m repro.rrset.bench --solvers
     PYTHONPATH=src python -m repro.rrset.bench --solvers --smoke
 
-``--scale`` runs the out-of-core storage benchmark instead: a SNAP
-analogue — the com-LiveJournal one at published size (~4M nodes, ~34M
-undirected edges) by default, com-DBLP in ``--smoke`` — generated
-straight into disk-backed spill files (``--backing mmap``, the
-streaming configuration model of :mod:`repro.graphs.streaming`),
-sampled through both RR-set transports — heap pickling and shared
-memory-mapped slabs (:mod:`repro.rrset.storage`) — across a worker
-sweep, assembled into a hyper-graph on the selected backing, and
-solved end to end with UD.  The record (``BENCH_scale.json``, schema
-``repro.rrset.bench/3``) pins bit-identity across transports, worker
-counts *and* backings (an always-run smoke-scale heap-vs-mmap digest
-cross-check), ~zero pickled bytes per chunk in shared mode, wall-clock
-scaling (skipped, with the machine-derived reason, where unmeasurable),
-the coordinator's peak RSS against a budget (measured *before* the
-heap baseline runs, so the mmap path owns the high-water mark), spill
-volume, and the narrowed CSR dtypes::
+``--adaptive`` runs the end-to-end adaptive-sampling benchmark: a
+fixed-θ UD+CD pipeline races the doubling driver of
+:mod:`repro.rrset.adaptive` on the same instance and seed plan,
+recording wall-clock, final θ, the certified error bound, the quality
+gap at the certificate, worker-count bit-identity, and the
+``adaptive.*`` / ``cd.*`` op counters (stop reason included).  The
+record lands in ``BENCH_adaptive.json``; every report shares the same
+top-level ``summary`` block (benchmark name, ok flag, baseline/candidate
+seconds, speedup, named pass/fail/skip checks with each skip's reason)
+so per-PR trajectories are machine-comparable::
+
+    PYTHONPATH=src python -m repro.rrset.bench --adaptive
+    PYTHONPATH=src python -m repro.rrset.bench --adaptive --smoke
+
+``--scale`` runs the out-of-core storage benchmark: a SNAP analogue —
+the com-LiveJournal one at published size (~4M nodes, ~34M undirected
+edges) by default, com-DBLP in ``--smoke`` — generated straight into
+disk-backed spill files (``--backing mmap``, the streaming
+configuration model of :mod:`repro.graphs.streaming`), sampled through
+both RR-set transports — heap pickling and shared memory-mapped slabs
+(:mod:`repro.rrset.storage`) — across a worker sweep, assembled into a
+hyper-graph on the selected backing, and solved end to end with UD.
+The record (``BENCH_scale.json``, schema ``repro.rrset.bench/3``) pins
+bit-identity across transports, worker counts *and* backings (an
+always-run smoke-scale heap-vs-mmap digest cross-check), ~zero pickled
+bytes per chunk in shared mode, wall-clock scaling (skipped, with the
+machine-derived reason, where unmeasurable), the coordinator's peak RSS
+against a budget (measured *before* the heap baseline runs, so the mmap
+path owns the high-water mark), spill volume, and the narrowed CSR
+dtypes::
 
     PYTHONPATH=src python -m repro.rrset.bench --scale
     PYTHONPATH=src python -m repro.rrset.bench --scale --smoke --backing mmap
 
-``docs/performance.md`` documents the JSON schema and how to interpret
-the numbers; ``benchmarks/test_cd_kernel.py`` wraps the same functions in
-the pytest-benchmark harness.
+``docs/performance.md`` documents the JSON schemas and how to interpret
+the numbers.
 """
-
 from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import os
 import platform
@@ -86,25 +78,17 @@ from repro.graphs.generators import erdos_renyi
 from repro.graphs.weights import assign_weighted_cascade
 from repro.obs.context import observe
 from repro.obs.metrics import MetricsRegistry
-from repro.rrset.estimator import HypergraphObjective
 from repro.rrset.hypergraph import RRHypergraph, csr_offsets
-from repro.rrset.reference import (
-    ReferenceObjective,
-    reference_coverage,
-    reference_csr_build,
-)
 from repro.rrset.sampler import sample_rr_sets
 
 __all__ = [
     "SCHEMA",
     "SCALE_SCHEMA",
     "build_cd_workload",
-    "run_kernel_benchmark",
     "run_adaptive_benchmark",
     "run_solver_benchmark",
     "run_scale_benchmark",
     "write_report",
-    "format_report",
     "format_adaptive_report",
     "format_solver_report",
     "format_scale_report",
@@ -121,24 +105,15 @@ SCHEMA = "repro.rrset.bench/2"
 #: unchanged and stay on /2.
 SCALE_SCHEMA = "repro.rrset.bench/3"
 
-#: Default benchmark shape: theta large enough that an O(theta) scan
-#: dominates a pair step (the regression this harness exists to catch);
-#: ``--smoke`` shrinks everything to CI scale.
+#: Default CD benchmark shape (the solver matrix, the adaptive race and
+#: ``benchmarks/test_cd_kernel.py``): theta large enough that an
+#: O(theta) scan dominates a pair step; ``--smoke`` shrinks everything
+#: to CI scale.
 FULL = dict(nodes=200, edge_prob=0.03, rr_sets=60_000, support=24, budget=4.0)
 SMOKE = dict(nodes=80, edge_prob=0.05, rr_sets=4_000, support=10, budget=2.0)
 
 SEED = 2016
 DEFAULT_WORKERS = (1, 2)
-
-#: Objective op counters surfaced in the report (per CD kernel).
-_COUNTER_KEYS = (
-    "objective.full_scans_total",
-    "objective.rebuilds_total",
-    "objective.incremental_updates_total",
-    "objective.pair_coefficients_total",
-    "objective.topology_cache_hits_total",
-    "objective.topology_cache_misses_total",
-)
 
 
 def _summary(
@@ -187,15 +162,6 @@ def _format_checks(summary: Dict) -> List[str]:
     return lines
 
 
-def _digest_rr(rr_sets: Sequence[np.ndarray]) -> str:
-    """Order-sensitive content hash of a sampled hyper-graph."""
-    hasher = hashlib.sha256()
-    for rr in rr_sets:
-        hasher.update(np.ascontiguousarray(rr, dtype=np.int64).tobytes())
-        hasher.update(b"|")
-    return hasher.hexdigest()
-
-
 def _best_of(repeats: int, fn) -> tuple:
     """Run ``fn`` ``repeats`` times; return (min seconds, last result)."""
     best = float("inf")
@@ -237,245 +203,6 @@ def build_cd_workload(
     discounts[coords] = min(1.0, budget / coords.size)
     warm_start = Configuration(discounts)
     return problem, rr_list, hypergraph, warm_start, coords
-
-
-def _time_micro_kernels(
-    repeats: int,
-    nodes: int,
-    rr_list: Sequence[np.ndarray],
-    hypergraph: RRHypergraph,
-    probs: np.ndarray,
-    coords: np.ndarray,
-) -> Dict:
-    """Best-of timings + identity cross-checks for the four micro kernels."""
-    results: Dict[str, Dict] = {}
-
-    # -- CSR build ----------------------------------------------------
-    ref_seconds, ref_csr = _best_of(repeats, lambda: reference_csr_build(nodes, rr_list))
-    vec_seconds, vec_hg = _best_of(repeats, lambda: RRHypergraph(nodes, rr_list))
-    results["csr_build"] = {
-        "reference_seconds": ref_seconds,
-        "vectorized_seconds": vec_seconds,
-        "speedup": ref_seconds / vec_seconds,
-        "identical": bool(
-            np.array_equal(ref_csr[0], vec_hg.edge_offsets)
-            and np.array_equal(ref_csr[1], vec_hg.edge_nodes)
-        ),
-    }
-
-    # -- coverage -----------------------------------------------------
-    seeds = coords[: min(10, coords.size)]
-    ref_seconds, ref_cov = _best_of(repeats, lambda: reference_coverage(hypergraph, seeds))
-    vec_seconds, vec_cov = _best_of(repeats, lambda: hypergraph.coverage(seeds))
-    results["coverage"] = {
-        "reference_seconds": ref_seconds,
-        "vectorized_seconds": vec_seconds,
-        "speedup": ref_seconds / vec_seconds,
-        "identical": ref_cov == vec_cov,
-    }
-
-    # -- objective rebuild -------------------------------------------
-    ref_obj = ReferenceObjective(hypergraph, probs)
-    vec_obj = HypergraphObjective(hypergraph, probs)
-    ref_seconds, _ = _best_of(repeats, ref_obj.rebuild)
-    vec_seconds, _ = _best_of(repeats, vec_obj.rebuild)
-    results["rebuild"] = {
-        "reference_seconds": ref_seconds,
-        "vectorized_seconds": vec_seconds,
-        "speedup": ref_seconds / vec_seconds,
-        "identical": bool(
-            np.array_equal(ref_obj._zero_count, vec_obj._zero_count)
-            and np.array_equal(ref_obj._nonzero_prod, vec_obj._nonzero_prod)
-        ),
-    }
-
-    # -- pair step ----------------------------------------------------
-    # Steady-state cyclic-CD cost: every pair of the support, revisited
-    # ``repeats`` times the way CD rounds revisit them (the vectorized
-    # kernel's topology cache is cold on the first sweep only).
-    pairs = list(itertools.combinations(coords.tolist(), 2))
-
-    def sweep(objective):
-        for i, j in pairs:
-            objective.pair_coefficients(i, j)
-
-    ref_seconds, _ = _best_of(repeats, lambda: sweep(ref_obj))
-    vec_seconds, _ = _best_of(repeats, lambda: sweep(vec_obj))
-    coeffs_identical = True
-    for i, j in pairs[:16]:
-        a = ref_obj.pair_coefficients(i, j)
-        b = vec_obj.pair_coefficients(i, j)
-        coeffs_identical &= all(
-            getattr(a, slot) == getattr(b, slot) for slot in a.__slots__
-        )
-    results["pair_step"] = {
-        "reference_seconds": ref_seconds,
-        "vectorized_seconds": vec_seconds,
-        "speedup": ref_seconds / vec_seconds,
-        "pairs": len(pairs),
-        "coefficients_identical": bool(coeffs_identical),
-    }
-    return results
-
-
-def _full_cd(
-    problem: CIMProblem,
-    hypergraph: RRHypergraph,
-    warm_start: Configuration,
-    coords: np.ndarray,
-    max_rounds: int,
-    refine_iterations: Optional[int],
-) -> tuple:
-    """One CD run through each kernel: its report row and per-kernel op counts.
-
-    ``refine_iterations=None`` keeps the kernel's default golden-section
-    refine.  Each run gets a private metrics registry, so its op counts
-    cover exactly that run.
-    """
-    options = {} if refine_iterations is None else {"refine_iterations": refine_iterations}
-    seconds: Dict[str, float] = {}
-    op_counts: Dict[str, Dict] = {}
-    runs = {}
-    for kernel in ("reference", "vectorized"):
-        registry = MetricsRegistry()
-        with observe(metrics=registry):
-            start = time.perf_counter()
-            runs[kernel] = coordinate_descent_hypergraph(
-                problem,
-                hypergraph,
-                warm_start,
-                coordinates=coords,
-                max_rounds=max_rounds,
-                kernel=kernel,
-                **options,
-            )
-            seconds[kernel] = time.perf_counter() - start
-        counters = registry.snapshot()["counters"]
-        op_counts[kernel] = {key: counters.get(key, 0) for key in _COUNTER_KEYS}
-    ref_cd, vec_cd = runs["reference"], runs["vectorized"]
-    row = {
-        "reference_seconds": seconds["reference"],
-        "vectorized_seconds": seconds["vectorized"],
-        "speedup": seconds["reference"] / seconds["vectorized"],
-        "rounds_run": vec_cd.rounds_run,
-        "pair_updates": vec_cd.pair_updates,
-        "round_values_identical": ref_cd.round_values == vec_cd.round_values,
-        "configuration_identical": bool(
-            np.array_equal(ref_cd.configuration.discounts, vec_cd.configuration.discounts)
-        ),
-    }
-    return row, op_counts
-
-
-def run_kernel_benchmark(
-    nodes: int,
-    edge_prob: float,
-    rr_sets: int,
-    budget: float,
-    support: int,
-    workers: Sequence[int] = DEFAULT_WORKERS,
-    repeats: int = 3,
-    max_rounds: int = 10,
-    seed: int = SEED,
-) -> Dict:
-    """Measure every kernel pair and audit the op counters.
-
-    Returns the full ``BENCH_cd.json`` payload (minus the file).  The
-    ``full_cd`` comparison runs grid-only (``refine_iterations=0``, the
-    paper's Section-7.1 setting) and feeds the op-count audit;
-    ``full_cd_refined`` repeats it with CD's default golden-section
-    refine.
-    """
-    problem, rr_list, hypergraph, warm_start, coords = build_cd_workload(
-        nodes, edge_prob, rr_sets, budget, support, seed=seed
-    )
-    probs = problem.population.probabilities(warm_start.discounts)
-
-    results = _time_micro_kernels(repeats, nodes, rr_list, hypergraph, probs, coords)
-
-    # -- full CD, both kernels, op-counted ----------------------------
-    # Grid-only first (the op-count audit's run), then with CD's default
-    # golden-section refine, the path that real plans spend their CD time in.
-    results["full_cd"], op_counts = _full_cd(
-        problem, hypergraph, warm_start, coords, max_rounds, refine_iterations=0
-    )
-    results["full_cd_refined"], _ = _full_cd(
-        problem, hypergraph, warm_start, coords, max_rounds, refine_iterations=None
-    )
-    round_values_identical = results["full_cd"]["round_values_identical"]
-    config_identical = results["full_cd"]["configuration_identical"]
-
-    # The vectorized kernel's contract: full scans happen only at the two
-    # rebuilds (init + drift wash) and once per accepted update — never in
-    # the per-pair path.  A positive residual means a scan leaked back in.
-    vec_ops = op_counts["vectorized"]
-    pair_path_full_scans = int(
-        vec_ops["objective.full_scans_total"]
-        - vec_ops["objective.rebuilds_total"]
-        - results["full_cd"]["pair_updates"]
-    )
-    op_counts["pair_path_full_scans"] = pair_path_full_scans
-    op_counts["scan_guard_ok"] = pair_path_full_scans <= 0
-
-    # -- worker-count determinism of the sampled hyper-graph ----------
-    digests = [
-        _digest_rr(sample_rr_sets(problem.model, rr_sets, seed=seed + 2, workers=w))
-        for w in workers
-    ]
-    determinism = {
-        "workers": list(workers),
-        "rr_digest": digests[0],
-        "rr_identical": len(set(digests)) == 1,
-        "round_values_identical": round_values_identical,
-        "configuration_identical": config_identical,
-    }
-
-    checks = {
-        "csr_build_identical": bool(results["csr_build"]["identical"]),
-        "coverage_identical": bool(results["coverage"]["identical"]),
-        "rebuild_identical": bool(results["rebuild"]["identical"]),
-        "pair_coefficients_identical": bool(
-            results["pair_step"]["coefficients_identical"]
-        ),
-        "round_values_identical": bool(round_values_identical),
-        "configuration_identical": bool(config_identical),
-        "refined_round_values_identical": bool(
-            results["full_cd_refined"]["round_values_identical"]
-        ),
-        "refined_configuration_identical": bool(
-            results["full_cd_refined"]["configuration_identical"]
-        ),
-        "rr_identical": bool(determinism["rr_identical"]),
-        "scan_guard_ok": bool(op_counts["scan_guard_ok"]),
-    }
-    return {
-        "schema": SCHEMA,
-        "summary": _summary(
-            "cd-kernels",
-            baseline_seconds=results["full_cd"]["reference_seconds"],
-            candidate_seconds=results["full_cd"]["vectorized_seconds"],
-            checks=checks,
-        ),
-        "config": {
-            "nodes": nodes,
-            "edge_prob": edge_prob,
-            "rr_sets": rr_sets,
-            "budget": budget,
-            "support": int(np.asarray(coords).size),
-            "max_rounds": max_rounds,
-            "seed": seed,
-            "repeats": repeats,
-            "workers": list(workers),
-        },
-        "machine": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "results": results,
-        "op_counts": op_counts,
-        "determinism": determinism,
-    }
 
 
 #: Adaptive-run counters surfaced in ``BENCH_adaptive.json``.
@@ -872,13 +599,6 @@ _PICKLE_PER_CHUNK_LIMIT = 1024
 _BACKING_CHECK = dict(graph_scale=0.005, rr_sets=512)
 
 
-def _peak_rss_mb() -> Optional[float]:
-    """Peak RSS of this process and its pool workers, in MiB."""
-    from repro.utils.spill import peak_rss_mb
-
-    return peak_rss_mb()
-
-
 def _digest_csr(sizes: np.ndarray, members: np.ndarray, chunk: int = 1 << 22) -> str:
     """Canonical content hash of a CSR stream (dtype-independent).
 
@@ -973,7 +693,7 @@ def run_scale_benchmark(
     from repro.graphs import generators
     from repro.parallel.pool import partition_chunks
     from repro.rrset.sampler import sample_rr_csr
-    from repro.utils.spill import resolve_backing
+    from repro.utils.spill import peak_rss_mb, resolve_backing
 
     if graph not in _SCALE_GRAPHS:
         raise ValueError(f"graph must be one of {_SCALE_GRAPHS}, got {graph!r}")
@@ -1069,7 +789,7 @@ def run_scale_benchmark(
 
     # Snapshot the high-water mark *now*: everything above ran on the
     # selected backing, everything below deliberately goes to the heap.
-    peak_rss = _peak_rss_mb()
+    peak_rss = peak_rss_mb()
 
     # -- heap baseline: members pickled back through the pool -----------
     registry = MetricsRegistry()
@@ -1349,74 +1069,30 @@ def write_report(report: Dict, path: str) -> None:
         handle.write("\n")
 
 
-def format_report(report: Dict) -> str:
-    """Human-readable table of a benchmark payload."""
-    cfg = report["config"]
-    res = report["results"]
-    ops = report["op_counts"]
-    det = report["determinism"]
-    lines = [
-        f"cd kernels — n={cfg['nodes']} p={cfg['edge_prob']:g} "
-        f"theta={cfg['rr_sets']} support={cfg['support']} "
-        f"(cpus={report['machine']['cpu_count']})",
-        f"{'kernel':>15s} {'reference':>12s} {'vectorized':>12s} {'speedup':>8s} {'identical':>9s}",
-    ]
-    checks = {
-        "csr_build": "identical",
-        "coverage": "identical",
-        "rebuild": "identical",
-        "pair_step": "coefficients_identical",
-        "full_cd": "round_values_identical",
-        "full_cd_refined": "round_values_identical",
-    }
-    for name, check in checks.items():
-        row = res[name]
-        lines.append(
-            f"{name:>15s} {row['reference_seconds']:11.4f}s "
-            f"{row['vectorized_seconds']:11.4f}s {row['speedup']:7.2f}x "
-            f"{str(row[check]):>9s}"
-        )
-    vec, ref = ops["vectorized"], ops["reference"]
-    lines.append(
-        "full scans: reference=%d vectorized=%d (pair-path residual=%d, guard %s)"
-        % (
-            ref["objective.full_scans_total"],
-            vec["objective.full_scans_total"],
-            ops["pair_path_full_scans"],
-            "ok" if ops["scan_guard_ok"] else "FAILED",
-        )
-    )
-    lines.append(
-        "determinism: rr_identical=%s round_values_identical=%s"
-        % (det["rr_identical"], det["round_values_identical"])
-    )
-    lines.extend(_format_checks(report["summary"]))
-    return "\n".join(lines)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.rrset.bench",
-        description="Benchmark the vectorized RR-hypergraph / CD kernels.",
+        description="Benchmark the RR-hypergraph solvers and storage.",
     )
     parser.add_argument(
         "--smoke",
         action="store_true",
         help="tiny graph / few RR sets: a CI-speed sanity run",
     )
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument(
         "--adaptive",
         action="store_true",
-        help="benchmark fixed-theta vs adaptive sampling instead of the "
-        "CD kernels; writes BENCH_adaptive.json by default",
+        help="benchmark fixed-theta vs adaptive sampling; writes "
+        "BENCH_adaptive.json by default",
     )
-    parser.add_argument(
+    mode.add_argument(
         "--solvers",
         action="store_true",
         help="benchmark the solver matrix (ud/cd/lazy-cd/gradient/fw) on "
         "one shared hyper-graph; merges into BENCH_cd.json",
     )
-    parser.add_argument(
+    mode.add_argument(
         "--scale",
         action="store_true",
         help="benchmark shared-slab vs heap storage on a SNAP-size "
@@ -1497,14 +1173,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="comma-separated worker counts for the sampling determinism "
         "cross-check (default 1,2 — or 1,2,4 with --solvers)",
     )
-    parser.add_argument("--repeats", type=int, default=3, help="best-of repeats")
     parser.add_argument("--seed", type=int, default=SEED)
     parser.add_argument(
         "--out",
         default=None,
         metavar="PATH",
-        help="where to write the JSON report (default BENCH_cd.json, or "
-        "BENCH_adaptive.json with --adaptive)",
+        help="where to write the JSON report (default BENCH_cd.json with "
+        "--solvers, BENCH_adaptive.json with --adaptive, BENCH_scale.json "
+        "with --scale)",
     )
     args = parser.parse_args(argv)
 
@@ -1571,7 +1247,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         write_report(report, out)
         print(format_adaptive_report(report))
-    elif args.solvers:
+    else:
         out = args.out or "BENCH_cd.json"
         report = run_solver_benchmark(
             workers=workers,
@@ -1583,17 +1259,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         write_report(merge_solver_matrix(report, out), out)
         print(format_solver_report(report))
-    else:
-        out = args.out or "BENCH_cd.json"
-        report = run_kernel_benchmark(
-            workers=workers,
-            repeats=1 if args.smoke else args.repeats,
-            max_rounds=args.max_rounds,
-            seed=args.seed,
-            **shape,
-        )
-        write_report(report, out)
-        print(format_report(report))
     print(f"wrote {out}")
     if not report["summary"]["ok"]:
         failed = [k for k, v in report["summary"]["checks"].items() if v == "fail"]

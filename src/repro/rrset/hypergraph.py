@@ -12,8 +12,9 @@ hyper-edges) both get contiguous slices.
 Both directions are assembled by whole-array numpy passes — a single
 ``concatenate`` for the member stream, ``repeat`` + stable ``argsort`` for
 the inverted index — with no per-edge Python assignment; the reference
-per-edge loop is preserved in :mod:`repro.rrset.reference` and benchmarked
-against this path by ``python -m repro.rrset.bench``.
+per-edge loop is kept as a test oracle (``reference_csr_build``, under
+``tests/rrset/``) and benchmarked against this path by
+``benchmarks/test_cd_kernel.py``.
 
 Key property (polling framework): for a fixed number of hyper-edges
 ``theta``, ``n * deg_H(S) / theta`` is an unbiased estimator of the
@@ -458,8 +459,8 @@ class RRHypergraph:
         are those carrying the current epoch — no Python-set hashing, no
         per-call allocation, and robust to duplicate members.  The count
         (and therefore :meth:`estimate_spread`) is byte-identical to the
-        set-union definition, pinned against
-        :func:`repro.rrset.reference.reference_coverage` by the tests.
+        set-union definition, pinned against the Python-set oracle
+        ``reference_coverage`` of the test tree (``tests/rrset/``).
         """
         if self._cover_stamp is None:
             self._cover_stamp = np.zeros(self.num_hyperedges, dtype=np.int64)

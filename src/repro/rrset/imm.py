@@ -22,22 +22,28 @@ Two phases:
 
 The hyper-edges generated in phase 1 are reused in phase 2 (the martingale
 argument permits this), so total work is proportional to the final theta.
+Each phase's sets are drawn as one instalment of a single chunked sampling
+plan (:func:`repro.rrset.sampler.sample_rr_csr` with ``start_at``), so the
+result is bit-identical at every worker count and equals a one-shot
+:meth:`RRHypergraph.build` of the final theta.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
 from repro.diffusion.base import DiffusionModel
 from repro.exceptions import EstimationError
+from repro.parallel.pool import DEFAULT_CHUNK_SIZE
 from repro.rrset.coverage import max_coverage
 from repro.rrset.hypergraph import RRHypergraph
 from repro.rrset.sample_size import log_binomial
-from repro.utils.rng import SeedLike, as_generator
+from repro.rrset.sampler import sample_rr_csr
+from repro.utils.rng import SeedLike, as_root_sequence
 
 __all__ = ["IMMResult", "imm_hypergraph"]
 
@@ -69,6 +75,27 @@ def _lambda_star(n: int, k: int, epsilon: float, ell: float) -> float:
         one_minus_inv_e * (log_binomial(n, k) + ell * math.log(n) + math.log(2.0))
     )
     return 2.0 * n * (one_minus_inv_e * alpha + beta) ** 2 / (epsilon**2)
+
+
+def _grow(
+    model: DiffusionModel,
+    hypergraph: Optional[RRHypergraph],
+    target: int,
+    root: np.random.SeedSequence,
+) -> RRHypergraph:
+    """``hypergraph`` extended to ``target`` hyper-edges along ``root``'s plan.
+
+    The first instalment is a plain build; later ones continue the plan at
+    ``start_at`` = the sets already drawn, which must sit on a chunk
+    boundary.  A target at or below the current size draws nothing.
+    """
+    if hypergraph is None:
+        return RRHypergraph.build(model, target, seed=root)
+    built = hypergraph.num_hyperedges
+    if target <= built:
+        return hypergraph
+    sizes, members = sample_rr_csr(model, target - built, seed=root, start_at=built)
+    return hypergraph.extend_csr(sizes, members)
 
 
 def imm_hypergraph(
@@ -108,23 +135,23 @@ def imm_hypergraph(
     if ell <= 0.0:
         raise EstimationError(f"ell must be positive, got {ell}")
 
-    rng = as_generator(seed)
+    root = as_root_sequence(seed)  # normalize ONCE: every phase extends one plan
+    hypergraph: Optional[RRHypergraph] = None
     # Adjust ell so the union bound over both phases still gives n^-ell
     # (Tang et al. run with ell' = ell * (1 + log 2 / log n)).
     ell = ell * (1.0 + math.log(2.0) / math.log(n))
 
     epsilon_prime = math.sqrt(2.0) * epsilon
-    rr_sets: List[np.ndarray] = []
     lower_bound = 1.0
 
     max_rounds = max(1, int(math.log2(n)) - 1)
     for i in range(1, max_rounds + 1):
         x = n / (2.0**i)
-        theta_i = min(max_theta, int(math.ceil(_lambda_prime(n, k, epsilon_prime, ell) / x)))
-        while len(rr_sets) < theta_i:
-            root = int(rng.integers(0, n))
-            rr_sets.append(model.sample_rr_set(root, rng))
-        hypergraph = RRHypergraph(n, rr_sets)
+        theta_i = int(math.ceil(_lambda_prime(n, k, epsilon_prime, ell) / x))
+        # Rounded up to a chunk multiple (theta_schedule's rule): the target
+        # is the next instalment's start_at, and IMM discards nothing.
+        theta_i = min(max_theta, -(-theta_i // DEFAULT_CHUNK_SIZE) * DEFAULT_CHUNK_SIZE)
+        hypergraph = _grow(model, hypergraph, theta_i, root)
         coverage = max_coverage(hypergraph, k)
         if coverage.spread_estimate >= (1.0 + epsilon_prime) * x:
             lower_bound = coverage.spread_estimate / (1.0 + epsilon_prime)
@@ -137,11 +164,8 @@ def imm_hypergraph(
         lower_bound = max(lower_bound, 1.0)
 
     theta = min(max_theta, int(math.ceil(_lambda_star(n, k, epsilon, ell) / lower_bound)))
-    while len(rr_sets) < theta:
-        root = int(rng.integers(0, n))
-        rr_sets.append(model.sample_rr_set(root, rng))
     # IMM discards nothing: extra phase-1 hyper-edges only help.
-    hypergraph = RRHypergraph(n, rr_sets)
+    hypergraph = _grow(model, hypergraph, theta, root)
     coverage = max_coverage(hypergraph, k)
     return IMMResult(
         hypergraph=hypergraph,

@@ -12,67 +12,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator
 
-__all__ = ["Stopwatch", "TimingBreakdown"]
-
-
-class Stopwatch:
-    """A restartable wall-clock stopwatch.
-
-    ``stop()`` is idempotent: stopping a never-started or already-stopped
-    watch simply returns the accumulated total.  Deadline-polling code
-    winds watches down on *every* exit path (normal, partial, injected
-    fault), so a double stop must be harmless, never a crash.
-
-    >>> sw = Stopwatch()
-    >>> sw.running
-    False
-    >>> sw.start()
-    >>> sw.running
-    True
-    >>> _ = sum(range(100))
-    >>> sw.stop() >= 0.0
-    True
-    >>> sw.stop() == sw.elapsed  # idempotent: second stop is a no-op
-    True
-    >>> Stopwatch().stop()  # never started: nothing accumulated
-    0.0
-    """
-
-    def __init__(self) -> None:
-        self._start: float | None = None
-        self.elapsed: float = 0.0
-
-    @property
-    def running(self) -> bool:
-        """Whether the watch is currently accumulating time.
-
-        >>> sw = Stopwatch()
-        >>> sw.start(); sw.running
-        True
-        >>> _ = sw.stop(); sw.running
-        False
-        """
-        return self._start is not None
-
-    def start(self) -> None:
-        """Begin (or resume) timing."""
-        self._start = time.perf_counter()
-
-    def stop(self) -> float:
-        """Stop timing and return the total elapsed seconds so far.
-
-        Idempotent: a no-op (returning the current total) when the watch
-        is not running.
-        """
-        if self._start is not None:
-            self.elapsed += time.perf_counter() - self._start
-            self._start = None
-        return self.elapsed
-
-    def reset(self) -> None:
-        """Zero the accumulated time."""
-        self._start = None
-        self.elapsed = 0.0
+__all__ = ["TimingBreakdown"]
 
 
 @dataclass

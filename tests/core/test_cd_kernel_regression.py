@@ -5,8 +5,8 @@ pair topology, vectorized CSR build) promises that not a single output
 bit changes: for a fixed seed, ``coordinate_descent_hypergraph`` must
 produce identical ``round_values`` floats and identical final
 configurations through the vectorized kernels and through the preserved
-pre-change implementation (``kernel="reference"``), at every worker
-count used to build the hyper-graph.
+pre-change implementation (the test tree's oracle, passed in as CD's
+``objective``), at every worker count used to build the hyper-graph.
 """
 
 import numpy as np
@@ -20,6 +20,9 @@ from repro.diffusion.independent_cascade import IndependentCascade
 from repro.exceptions import SolverError
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weights import assign_weighted_cascade
+from repro.rrset.estimator import HypergraphObjective
+
+from tests.rrset.reference_kernels import ReferenceObjective
 
 
 @pytest.fixture(scope="module")
@@ -32,22 +35,27 @@ def cd_problem():
     return problem, hypergraph, ud
 
 
+def _oracle(problem, hypergraph, ud):
+    """The reference objective at the warm start's seed probabilities."""
+    probs = problem.population.probabilities(ud.configuration.discounts)
+    return ReferenceObjective(hypergraph, probs)
+
+
 class TestKernelBitIdentity:
     @pytest.mark.parametrize("refine_iterations", [0, 25])
     def test_round_values_and_config_identical(self, cd_problem, refine_iterations):
         """Vectorized vs reference: every float equal, bit for bit."""
         problem, hypergraph, ud = cd_problem
-        runs = {
-            kernel: coordinate_descent_hypergraph(
+        ref, vec = (
+            coordinate_descent_hypergraph(
                 problem,
                 hypergraph,
                 ud.configuration,
                 refine_iterations=refine_iterations,
-                kernel=kernel,
+                objective=objective,
             )
-            for kernel in ("reference", "vectorized")
-        }
-        ref, vec = runs["reference"], runs["vectorized"]
+            for objective in (_oracle(problem, hypergraph, ud), None)
+        )
         assert ref.round_values == vec.round_values
         assert ref.objective_value == vec.objective_value
         assert np.array_equal(
@@ -62,11 +70,10 @@ class TestKernelBitIdentity:
         problem, hypergraph, ud = cd_problem
         ref = coordinate_descent_hypergraph(
             problem, hypergraph, ud.configuration,
-            pair_strategy="gradient", kernel="reference",
+            pair_strategy="gradient", objective=_oracle(problem, hypergraph, ud),
         )
         vec = coordinate_descent_hypergraph(
-            problem, hypergraph, ud.configuration,
-            pair_strategy="gradient", kernel="vectorized",
+            problem, hypergraph, ud.configuration, pair_strategy="gradient"
         )
         assert ref.round_values == vec.round_values
         assert np.array_equal(
@@ -82,7 +89,7 @@ class TestKernelBitIdentity:
                 num_hyperedges=3000, seed=3, workers=workers
             )
             result = coordinate_descent_hypergraph(
-                problem, hypergraph, ud.configuration, kernel="vectorized"
+                problem, hypergraph, ud.configuration
             )
             key = (
                 hypergraph.edge_offsets.tobytes(),
@@ -96,8 +103,22 @@ class TestKernelBitIdentity:
                 assert key == baseline, f"workers={workers} diverged"
 
     def test_unknown_kernel_rejected(self, cd_problem):
+        """CD has one objective kernel: there is no option to pick one."""
         problem, hypergraph, ud = cd_problem
-        with pytest.raises(SolverError, match="kernel"):
+        with pytest.raises(TypeError, match="kernel"):
             coordinate_descent_hypergraph(
-                problem, hypergraph, ud.configuration, kernel="numba"
+                problem, hypergraph, ud.configuration, kernel="reference"
             )
+
+    def test_objective_bound_to_another_hypergraph_rejected(self, cd_problem):
+        problem, hypergraph, ud = cd_problem
+        other = problem.build_hypergraph(num_hyperedges=500, seed=4)
+        probs = problem.population.probabilities(ud.configuration.discounts)
+        for foreign in (
+            HypergraphObjective(other, probs),
+            ReferenceObjective(other, probs),
+        ):
+            with pytest.raises(SolverError, match="different hyper-graph"):
+                coordinate_descent_hypergraph(
+                    problem, hypergraph, ud.configuration, objective=foreign
+                )

@@ -10,14 +10,14 @@ of the three RR-hypergraph hot paths:
 * :func:`reference_csr_build` — the per-edge CSR assignment loop of the
   original ``RRHypergraph.__init__``.
 
-They exist for two reasons and must not gain optimizations:
+They are the test tree's oracle and must not gain optimizations:
 
 1. **Bit-exact regression pinning.**  The vectorized kernels in
    :mod:`repro.rrset.estimator` / :mod:`repro.rrset.hypergraph` promise
    byte-identical outputs; ``tests/core/test_cd_kernel_regression.py``
    runs full coordinate-descent through both implementations and compares
    every ``round_values`` float and the final configuration bit for bit.
-2. **Benchmark baselines.**  ``python -m repro.rrset.bench`` times each
+2. **Benchmark baselines.**  ``benchmarks/test_cd_kernel.py`` times each
    reference kernel against its vectorized replacement and reports the
    speedups in ``BENCH_cd.json``.
 
@@ -48,9 +48,9 @@ class ReferenceObjective:
     API-compatible with :class:`repro.rrset.estimator.HypergraphObjective`
     for every method the solvers call (``value``, ``set_probability``,
     ``set_probabilities``, ``pair_coefficients``, ``coordinate_value``,
-    ``gradient_coordinate``, ``rebuild``), so it can be swapped into
-    :func:`repro.core.cd_hypergraph.coordinate_descent_hypergraph` via
-    ``kernel="reference"``.
+    ``gradient_coordinate``, ``rebuild``), so it can be passed to
+    :func:`repro.core.cd_hypergraph.coordinate_descent_hypergraph` as its
+    ``objective=``.
     """
 
     def __init__(self, hypergraph: RRHypergraph, seed_probabilities: np.ndarray) -> None:

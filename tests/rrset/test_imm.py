@@ -1,5 +1,6 @@
 """Unit tests for the IMM sampling procedure."""
 
+import numpy as np
 import pytest
 
 from repro.diffusion.independent_cascade import IndependentCascade
@@ -7,6 +8,8 @@ from repro.diffusion.montecarlo import estimate_spread
 from repro.exceptions import EstimationError
 from repro.graphs.generators import erdos_renyi, star_graph
 from repro.graphs.weights import assign_weighted_cascade
+from repro.parallel.pool import WORKERS_ENV_VAR
+from repro.rrset.hypergraph import RRHypergraph
 from repro.rrset.imm import imm_hypergraph
 
 
@@ -22,6 +25,23 @@ class TestIMM:
         assert len(result.seeds) == 5
         assert result.theta == result.hypergraph.num_hyperedges
         assert result.opt_lower_bound >= 1.0
+
+    def test_one_sampling_plan_at_every_worker_count(self, imm_model, monkeypatch):
+        """Phases are instalments of one plan: worker-invariant, and equal
+        to a one-shot build of the final theta from the same seed."""
+        runs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv(WORKERS_ENV_VAR, workers)
+            runs.append(imm_hypergraph(imm_model, k=5, epsilon=0.5, seed=2))
+        one, two = runs
+        assert one.seeds == two.seeds
+        assert one.theta == two.theta
+        assert one.spread_estimate == two.spread_estimate
+        assert one.opt_lower_bound == two.opt_lower_bound
+        oneshot = RRHypergraph.build(imm_model, one.theta, seed=2, workers=1)
+        for result in runs:
+            assert np.array_equal(result.hypergraph.edge_offsets, oneshot.edge_offsets)
+            assert np.array_equal(result.hypergraph.edge_nodes, oneshot.edge_nodes)
 
     def test_theta_grows_as_epsilon_shrinks(self, imm_model):
         loose = imm_hypergraph(imm_model, k=5, epsilon=0.5, seed=3)

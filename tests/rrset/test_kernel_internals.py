@@ -1,10 +1,11 @@
 """Contracts of the vectorized hyper-graph/objective kernels.
 
 Pins each vectorized path against its preserved reference twin
-(:mod:`repro.rrset.reference`) and covers the kernel-specific machinery:
-the ``from_csr`` constructor, the stamp-array ``coverage``, the reduceat
-rebuild (including empty hyper-edge segments), the pair-topology cache,
-and the hoisted ``value()`` call in ``pair_coefficients``.
+(:mod:`tests.rrset.reference_kernels`) and covers the kernel-specific
+machinery: the ``from_csr`` constructor, the stamp-array ``coverage``,
+the reduceat rebuild (including empty hyper-edge segments), the
+pair-topology cache, and the hoisted ``value()`` call in
+``pair_coefficients``.
 """
 
 import numpy as np
@@ -15,7 +16,8 @@ from repro.obs.context import observe
 from repro.obs.metrics import MetricsRegistry
 from repro.rrset.estimator import HypergraphObjective
 from repro.rrset.hypergraph import RRHypergraph
-from repro.rrset.reference import (
+
+from tests.rrset.reference_kernels import (
     ReferenceObjective,
     reference_coverage,
     reference_csr_build,

@@ -17,6 +17,7 @@ from repro.rrset.bench import (
     SCHEMA,
     _summary,
     format_scale_report,
+    main,
     merge_solver_matrix,
     run_scale_benchmark,
 )
@@ -268,6 +269,15 @@ class TestSummary:
         old["summary"]["checks"]["scan_guard_ok"] = False
         kernel.write_text(json.dumps(old))
         assert merge_solver_matrix(matrix, str(kernel))["summary"]["ok"] is False
+
+    @pytest.mark.parametrize("argv", [[], ["--smoke"], ["--solvers", "--scale"]])
+    def test_cli_needs_exactly_one_mode(self, argv, capsys):
+        # The kernel report has its own producer (benchmarks/test_cd_kernel.py);
+        # the module has no default mode.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "--adaptive" in capsys.readouterr().err
 
 
 class TestScaleReportMmap:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.stats import RunningStat, mean_confidence_interval
-from repro.utils.timing import Stopwatch, TimingBreakdown
+from repro.utils.timing import TimingBreakdown
 
 
 class TestRng:
@@ -93,51 +93,6 @@ class TestRunningStat:
 
 
 class TestTiming:
-    def test_stopwatch_accumulates(self):
-        sw = Stopwatch()
-        sw.start()
-        time.sleep(0.01)
-        first = sw.stop()
-        sw.start()
-        time.sleep(0.01)
-        second = sw.stop()
-        assert second > first > 0
-
-    def test_stopwatch_reset(self):
-        sw = Stopwatch()
-        sw.start()
-        sw.stop()
-        sw.reset()
-        assert sw.elapsed == 0.0
-
-    def test_stopwatch_stop_without_start_is_noop(self):
-        sw = Stopwatch()
-        assert sw.stop() == 0.0
-        assert sw.elapsed == 0.0
-
-    def test_stopwatch_stop_is_idempotent(self):
-        sw = Stopwatch()
-        sw.start()
-        first = sw.stop()
-        assert sw.stop() == first
-        assert sw.elapsed == first
-
-    def test_stopwatch_running_property(self):
-        sw = Stopwatch()
-        assert not sw.running
-        sw.start()
-        assert sw.running
-        sw.stop()
-        assert not sw.running
-
-    def test_stopwatch_doctests(self):
-        import doctest
-
-        import repro.utils.timing as timing
-
-        failures, _ = doctest.testmod(timing)
-        assert failures == 0
-
     def test_breakdown_phases(self):
         breakdown = TimingBreakdown()
         with breakdown.phase("build"):
