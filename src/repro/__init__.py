@@ -78,7 +78,6 @@ from repro.diffusion import (
     estimate_configuration_spread,
     estimate_spread,
 )
-from repro.diffusion.batch import batch_configuration_spread_ic, batch_spread_ic
 from repro.discrete import celf_greedy, degree_seeds, random_seeds, ris_influence_maximization
 from repro.exceptions import (
     BudgetError,
@@ -214,8 +213,6 @@ __all__ = [
     "TriggeringModel",
     "estimate_spread",
     "estimate_configuration_spread",
-    "batch_spread_ic",
-    "batch_configuration_spread_ic",
     # discrete
     "celf_greedy",
     "ris_influence_maximization",

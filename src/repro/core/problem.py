@@ -77,47 +77,23 @@ class CIMProblem:
         configuration: Configuration,
         num_samples: int = 1000,
         seed: SeedLike = None,
-        engine: str = "auto",
         workers: Optional[int] = None,
     ) -> SpreadEstimate:
         """Monte-Carlo estimate of ``UI(C)`` (mean/stddev over samples).
 
         The evaluation protocol of Section 9.2: sample seed sets from the
-        configuration, run cascades, average the sizes.
-
-        ``engine`` selects the simulator: ``"scalar"`` (per-cascade BFS,
-        works for every model), ``"batch"`` (vectorized live-edge engine,
-        IC only, ~10x faster), or ``"auto"`` (batch when the model is
-        plain IC, scalar otherwise).  ``workers`` parallelizes the
-        simulations (``0`` = one per CPU) without changing the estimate.
+        configuration, run cascades, average the sizes.  Every model runs
+        on :func:`~repro.diffusion.montecarlo.estimate_configuration_spread`;
+        ``workers`` parallelizes the simulations (``0`` = one per CPU)
+        without changing the estimate.
         """
         if len(configuration) != self.num_nodes:
             raise ConfigurationError(
                 f"configuration has {len(configuration)} entries, expected {self.num_nodes}"
             )
-        seed_probs = self.population.probabilities(configuration.discounts)
-
-        # Imported here to keep the module graph acyclic.
-        from repro.diffusion.batch import batch_configuration_spread_ic
-        from repro.diffusion.independent_cascade import IndependentCascade
-
-        if engine not in ("auto", "scalar", "batch"):
-            raise ConfigurationError(f"unknown evaluation engine {engine!r}")
-        is_plain_ic = type(self.model) is IndependentCascade
-        if engine == "batch" and not is_plain_ic:
-            raise ConfigurationError("the batch engine only supports IndependentCascade")
-        use_batch = engine == "batch" or (engine == "auto" and is_plain_ic)
-        if use_batch:
-            return batch_configuration_spread_ic(
-                self.graph,
-                seed_probs,
-                num_samples=num_samples,
-                seed=seed,
-                workers=workers,
-            )
         return estimate_configuration_spread(
             self.model,
-            seed_probs,
+            self.population.probabilities(configuration.discounts),
             num_samples=num_samples,
             seed=seed,
             workers=workers,

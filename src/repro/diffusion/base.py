@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.exceptions import GraphError, NodeNotFoundError
 from repro.graphs.digraph import DiGraph
-from repro.utils.rng import SeedLike, as_generator
 
 __all__ = ["DiffusionModel"]
 
@@ -79,27 +78,6 @@ class DiffusionModel(abc.ABC):
     def sample_cascade_size(self, seeds: Sequence[int], rng: np.random.Generator) -> int:
         """Size of one random cascade (``|cascade|``)."""
         return int(self.sample_cascade(seeds, rng).size)
-
-    def spread(
-        self,
-        seeds: Sequence[int],
-        num_samples: int = 1000,
-        seed: SeedLike = None,
-    ) -> float:
-        """Monte-Carlo estimate of the influence spread ``I(S)``.
-
-        Computing ``I(S)`` exactly is #P-hard for IC and LT (Theorem 1
-        context), so this returns the sample mean of ``num_samples``
-        independent cascade sizes.
-        """
-        if num_samples <= 0:
-            raise ValueError(f"num_samples must be positive, got {num_samples}")
-        rng = as_generator(seed)
-        seeds = self._validate_seeds(seeds)
-        total = 0
-        for _ in range(num_samples):
-            total += self.sample_cascade_size(seeds, rng)
-        return total / num_samples
 
     def _validate_seeds(self, seeds: Iterable[int]) -> np.ndarray:
         """Normalize and bound-check a seed collection."""

@@ -1,11 +1,15 @@
-"""Vectorized batch simulation of Independent Cascade.
+"""Live-edge batch simulation of Independent Cascade: the test oracle.
 
-The paper's evaluation protocol scores every configuration with 20,000
-Monte-Carlo simulations; running them one BFS at a time in Python is the
-bottleneck of the whole harness.  This module exploits the live-edge view
-of IC: a cascade outcome is exactly reachability over a random subgraph
-that keeps each edge ``e`` with probability ``p_e``, so *many* outcomes
-can be advanced simultaneously with dense boolean matrix operations:
+The library estimates every spread through one engine,
+:mod:`repro.diffusion.montecarlo`, which runs one BFS cascade per sample
+(:meth:`IndependentCascade.sample_cascade
+<repro.diffusion.independent_cascade.IndependentCascade.sample_cascade>`).
+This module is a second, independent implementation of the same
+distribution, kept so tests can check that engine against it at 5σ.  It
+uses the live-edge view of IC: a cascade outcome is exactly reachability
+over a random subgraph that keeps each edge ``e`` with probability
+``p_e``, so many outcomes advance together with dense boolean matrix
+operations:
 
 * ``live``     — an ``(m, batch)`` boolean matrix of per-sample edge coins;
 * ``active``   — an ``(n, batch)`` boolean activation matrix;
@@ -13,11 +17,12 @@ can be advanced simultaneously with dense boolean matrix operations:
   its in-edges — a single ``np.logical_or.reduceat`` over the in-CSR
   layout — and iterates to the reachability fixpoint.
 
-Equivalent in distribution to
-:meth:`repro.diffusion.independent_cascade.IndependentCascade.sample_cascade`
-(each edge flips exactly one coin), typically ~10x faster for evaluation
-workloads.  IC-only: LT's live-edge distribution couples a node's in-edges
-and is simulated by the scalar engine.
+Each sample flips all ``m`` edge coins, so the cost scales with ``m``
+times the cascade depth rather than with the spread; on every graph past
+a few hundred nodes it is slower than the BFS engine, which is why no
+production path uses it.  It lives in ``src/`` rather than the test tree
+only because the pipeline benchmark (``perfbench/pipeline.py``) imports
+it.  IC-only: LT's live-edge distribution couples a node's in-edges.
 """
 
 from __future__ import annotations
@@ -26,13 +31,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.diffusion.montecarlo import DEFAULT_SAMPLE_CHUNK, SpreadEstimate
+from repro.diffusion.montecarlo import SpreadEstimate
 from repro.exceptions import EstimationError
 from repro.graphs.digraph import DiGraph
-from repro.obs.context import get_metrics, get_tracer
-from repro.parallel.pool import partition_chunks, run_chunks
-from repro.runtime.deadline import DeadlineLike, as_deadline
-from repro.utils.rng import SeedLike, as_generator, spawn_sequences
+from repro.utils.rng import SeedLike, as_generator
 from repro.utils.stats import RunningStat
 
 __all__ = ["batch_spread_ic", "batch_configuration_spread_ic", "batch_cascade_sizes_ic"]
@@ -101,7 +103,7 @@ def batch_cascade_sizes_ic(
         q = np.asarray(seed_probabilities, dtype=np.float64)
         if q.shape != (n,):
             raise EstimationError(f"seed_probabilities must have length n={n}")
-        if np.any(q < 0.0) or np.any(q > 1.0):
+        if not np.all((q >= 0.0) & (q <= 1.0)):
             raise EstimationError("seed probabilities must lie in [0, 1]")
 
     order = _edge_order_by_target(graph)
@@ -135,6 +137,12 @@ def batch_cascade_sizes_ic(
     return sizes
 
 
+def _estimate(sizes: np.ndarray) -> SpreadEstimate:
+    stat = RunningStat()
+    stat.add_many(sizes.astype(np.float64))
+    return SpreadEstimate(mean=stat.mean, stddev=stat.stddev, num_samples=sizes.size)
+
+
 def batch_spread_ic(
     graph: DiGraph,
     seeds: Sequence[int],
@@ -143,39 +151,11 @@ def batch_spread_ic(
     batch_size: int = _DEFAULT_BATCH,
 ) -> SpreadEstimate:
     """Vectorized estimate of ``I(S)`` under IC."""
-    rng = as_generator(seed)
-    sizes = batch_cascade_sizes_ic(
-        graph, num_samples, rng, seeds=seeds, batch_size=batch_size
+    return _estimate(
+        batch_cascade_sizes_ic(
+            graph, num_samples, as_generator(seed), seeds=seeds, batch_size=batch_size
+        )
     )
-    stat = RunningStat()
-    stat.add_many(sizes.astype(np.float64))
-    return SpreadEstimate(mean=stat.mean, stddev=stat.stddev, num_samples=num_samples)
-
-
-def _batch_configuration_chunk_task(
-    payload: tuple,
-    count: int,
-    seed_seq: np.random.SeedSequence,
-    remaining: Optional[float],
-) -> RunningStat:
-    """One chunk of vectorized ``UI(C)`` cascades (inline or in a worker).
-
-    The dense matrix sweep is not interruptible mid-batch, so the chunk
-    ignores ``remaining``; deadline truncation happens at the chunk
-    boundaries of :func:`repro.parallel.pool.run_chunks`.
-    """
-    graph, seed_probabilities, batch_size = payload
-    rng = np.random.default_rng(seed_seq)
-    sizes = batch_cascade_sizes_ic(
-        graph,
-        count,
-        rng,
-        seed_probabilities=seed_probabilities,
-        batch_size=batch_size,
-    )
-    stat = RunningStat()
-    stat.add_many(sizes.astype(np.float64))
-    return stat
 
 
 def batch_configuration_spread_ic(
@@ -184,48 +164,14 @@ def batch_configuration_spread_ic(
     num_samples: int = 1000,
     seed: SeedLike = None,
     batch_size: int = _DEFAULT_BATCH,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    deadline: DeadlineLike = None,
 ) -> SpreadEstimate:
-    """Vectorized estimate of ``UI(C)`` under IC (Eq. 2).
-
-    Chunked through the deterministic parallel engine: the estimate is
-    identical for every ``workers`` value (``0`` = one per CPU).  With a
-    ``deadline``, ``num_samples`` on the returned estimate reports the
-    simulations actually run.
-    """
-    if num_samples <= 0:
-        raise EstimationError(f"num_samples must be positive, got {num_samples}")
-    seed_probabilities = np.asarray(seed_probabilities, dtype=np.float64)
-    budget = as_deadline(deadline)
-    sizes = partition_chunks(num_samples, chunk_size or DEFAULT_SAMPLE_CHUNK)
-    sequences = spawn_sequences(seed, len(sizes))
-    metrics = get_metrics()
-    with get_tracer().span(
-        "mc.estimate", kind="UI(C)/batch", requested=num_samples, chunks=len(sizes)
-    ) as span:
-        stats, expired = run_chunks(
-            _batch_configuration_chunk_task,
-            (graph, seed_probabilities, batch_size),
-            list(zip(sizes, sequences)),
-            workers=workers,
-            deadline=budget,
-            inject_site="montecarlo.chunk",
+    """Vectorized estimate of ``UI(C)`` under IC (Eq. 2)."""
+    return _estimate(
+        batch_cascade_sizes_ic(
+            graph,
+            num_samples,
+            as_generator(seed),
+            seed_probabilities=seed_probabilities,
+            batch_size=batch_size,
         )
-        total = RunningStat()
-        for index, stat in enumerate(stats):
-            total.merge(stat)
-            span.event("chunk", index=index, planned=sizes[index], produced=stat.count)
-            metrics.observe("mc.chunk_items", stat.count)
-        span.set(produced=total.count, truncated=expired)
-        metrics.inc("mc.estimates_total")
-        metrics.inc("mc.requested_total", num_samples)
-        metrics.inc("mc.samples_total", total.count)
-        if expired:
-            metrics.inc("mc.truncated_total")
-        if total.count == 0:
-            budget.check("estimating UI(C)")
-    return SpreadEstimate(
-        mean=total.mean, stddev=total.stddev, num_samples=total.count
     )

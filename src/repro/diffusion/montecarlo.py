@@ -107,12 +107,16 @@ def _configuration_chunk_task(
     seed_seq: np.random.SeedSequence,
     remaining: Optional[float],
 ) -> RunningStat:
-    """One chunk of ``UI(C)`` cascades (seed-set draw + cascade each)."""
+    """One chunk of ``UI(C)`` cascades (seed-set draw + cascade each).
+
+    ``estimate_configuration_spread`` validated the probabilities once,
+    so each draw skips :func:`sample_seed_set`'s check.
+    """
     model, seed_probabilities = payload
     rng = np.random.default_rng(seed_seq)
     stat = RunningStat()
     for _ in deadline_iter(count, _chunk_deadline(remaining)):
-        seeds = sample_seed_set(seed_probabilities, rng)
+        seeds = _draw_seed_set(seed_probabilities, rng)
         if seeds.size == 0:
             stat.add(0.0)
         else:
@@ -185,10 +189,9 @@ def estimate_spread(
     """
     if num_samples <= 0:
         raise EstimationError(f"num_samples must be positive, got {num_samples}")
-    seed_arr = np.asarray(list(seeds), dtype=np.int64)
     return _merged_estimate(
         _spread_chunk_task,
-        (model, seed_arr),
+        (model, model._validate_seeds(seeds)),
         num_samples,
         seed,
         workers,
@@ -209,10 +212,20 @@ def sample_seed_set(
     seed_probabilities = np.asarray(seed_probabilities, dtype=np.float64)
     if seed_probabilities.ndim != 1:
         raise EstimationError("seed_probabilities must be a 1-D vector")
-    if np.any(seed_probabilities < 0.0) or np.any(seed_probabilities > 1.0):
+    _check_unit_interval(seed_probabilities)
+    return _draw_seed_set(seed_probabilities, rng)
+
+
+def _check_unit_interval(seed_probabilities: np.ndarray) -> None:
+    # Written so that NaN fails too: it compares False both ways.
+    if not np.all((seed_probabilities >= 0.0) & (seed_probabilities <= 1.0)):
         raise EstimationError("seed probabilities must lie in [0, 1]")
-    draws = rng.random(seed_probabilities.size)
-    return np.flatnonzero(draws < seed_probabilities)
+
+
+def _draw_seed_set(
+    seed_probabilities: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    return np.flatnonzero(rng.random(seed_probabilities.size) < seed_probabilities)
 
 
 def estimate_configuration_spread(
@@ -243,6 +256,7 @@ def estimate_configuration_spread(
             f"seed_probabilities must have length n={model.num_nodes}, "
             f"got {seed_probabilities.shape}"
         )
+    _check_unit_interval(seed_probabilities)
     return _merged_estimate(
         _configuration_chunk_task,
         (model, seed_probabilities),

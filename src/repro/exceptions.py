@@ -7,6 +7,8 @@ still being able to distinguish the failure categories below.
 
 from __future__ import annotations
 
+import copyreg
+
 __all__ = [
     "ReproError",
     "GraphError",
@@ -31,6 +33,14 @@ __all__ = [
 
 class ReproError(Exception):
     """Base class for every error raised by the :mod:`repro` library."""
+
+    def __reduce__(self):
+        # Restore ``args`` and the attributes without calling ``__init__``
+        # again: a subclass whose constructor takes other arguments than
+        # its ``args`` would otherwise fail to unpickle, and an error
+        # raised in a pool worker would reach the coordinator as a broken
+        # pool.
+        return (copyreg.__newobj__, (type(self),), {**vars(self), "args": self.args})
 
 
 class GraphError(ReproError):

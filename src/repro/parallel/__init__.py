@@ -16,9 +16,10 @@ budgets; see ``docs/resilience.md`` for the failure-mode table.
 
 Consumers: :func:`repro.rrset.sampler.sample_rr_csr`,
 :func:`repro.diffusion.montecarlo.estimate_spread`,
-:func:`repro.diffusion.montecarlo.estimate_configuration_spread`, the
-batch IC engine, and everything layered on top of them
+:func:`repro.diffusion.montecarlo.estimate_configuration_spread`, and
+everything layered on top of them
 (:meth:`RRHypergraph.build <repro.rrset.hypergraph.RRHypergraph.build>`,
+:meth:`CIMProblem.evaluate <repro.core.problem.CIMProblem.evaluate>`,
 :func:`~repro.experiments.runner.run_methods`, the CLI ``--workers``
 flag).
 """

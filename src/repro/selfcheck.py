@@ -41,28 +41,32 @@ def _check_graph_substrate() -> CheckResult:
 
 def _check_ic_closed_form() -> CheckResult:
     from repro.diffusion.independent_cascade import IndependentCascade
+    from repro.diffusion.montecarlo import estimate_spread
     from repro.graphs.generators import star_graph
 
     ic = IndependentCascade(star_graph(4, probability=0.1))
-    spread = ic.spread([0], num_samples=8000, seed=11)
+    spread = estimate_spread(ic, [0], num_samples=8000, seed=11).mean
     ok = abs(spread - 1.4) < 0.06
     return CheckResult(
         "IC simulator vs closed form", ok, f"star I(hub) = {spread:.3f} (expect 1.4)"
     )
 
 
-def _check_exact_vs_batch() -> CheckResult:
+def _check_monte_carlo_vs_exact() -> CheckResult:
     from repro.core.exact import exact_ui_ic
-    from repro.diffusion.batch import batch_configuration_spread_ic
+    from repro.diffusion.independent_cascade import IndependentCascade
+    from repro.diffusion.montecarlo import estimate_configuration_spread
     from repro.graphs.build import from_edges
 
     g = from_edges([(0, 1, 0.5), (1, 2, 0.4), (0, 2, 0.3)], num_nodes=3)
     q = np.array([0.6, 0.3, 0.1])
     exact = exact_ui_ic(g, q)
-    batch = batch_configuration_spread_ic(g, q, num_samples=20000, seed=12)
-    ok = abs(batch.mean - exact) < 5 * batch.stderr + 1e-6
+    estimate = estimate_configuration_spread(
+        IndependentCascade(g), q, num_samples=20000, seed=12
+    )
+    ok = abs(estimate.mean - exact) < 5 * estimate.stderr + 1e-6
     return CheckResult(
-        "batch engine vs exact UI", ok, f"{batch.mean:.4f} vs exact {exact:.4f}"
+        "Monte-Carlo UI vs exact UI", ok, f"{estimate.mean:.4f} vs exact {exact:.4f}"
     )
 
 
@@ -121,7 +125,7 @@ def _check_toy_example() -> CheckResult:
 ALL_CHECKS: List[Callable[[], CheckResult]] = [
     _check_graph_substrate,
     _check_ic_closed_form,
-    _check_exact_vs_batch,
+    _check_monte_carlo_vs_exact,
     _check_theorem9_estimator,
     _check_solver_ordering,
     _check_toy_example,

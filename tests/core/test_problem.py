@@ -77,46 +77,30 @@ class TestEvaluate:
 
 class TestEvaluationEngines:
     def test_engines_agree(self):
-        problem = make_problem(budget=1.0)
-        config = Configuration.integer([0], 5)
-        scalar = problem.evaluate(config, num_samples=20000, seed=5, engine="scalar")
-        batch = problem.evaluate(config, num_samples=20000, seed=6, engine="batch")
-        assert scalar.mean == pytest.approx(batch.mean, abs=0.05)
+        """``evaluate`` agrees at 5σ with the live-edge oracle and exact UI."""
+        from repro.core.exact import exact_ui_ic
+        from repro.diffusion.batch import batch_configuration_spread_ic
 
-    def test_auto_uses_batch_for_ic(self):
-        """auto must match batch exactly (same code path, same seed)."""
         problem = make_problem(budget=1.0)
-        config = Configuration.integer([0], 5)
-        auto = problem.evaluate(config, num_samples=500, seed=7, engine="auto")
-        batch = problem.evaluate(config, num_samples=500, seed=7, engine="batch")
-        assert auto.mean == batch.mean
+        config = Configuration([0.6, 0.3, 0.1, 0.0, 0.0])
+        q = problem.population.probabilities(config.discounts)
+        estimate = problem.evaluate(config, num_samples=20000, seed=5)
+        oracle = batch_configuration_spread_ic(problem.graph, q, num_samples=20000, seed=6)
+        exact = exact_ui_ic(problem.graph, q)
+        combined = (estimate.stderr**2 + oracle.stderr**2) ** 0.5
+        assert abs(estimate.mean - oracle.mean) < 5 * combined
+        assert abs(estimate.mean - exact) < 5 * estimate.stderr
 
     def test_auto_falls_back_for_lt(self):
+        """LT evaluates on the same Monte-Carlo engine as IC."""
         from repro.diffusion.linear_threshold import LinearThreshold
         from repro.graphs.build import from_edges
 
         graph = from_edges([(0, 1, 0.5)], num_nodes=2)
         population = CurvePopulation.uniform(2, LinearCurve())
         problem = CIMProblem(LinearThreshold(graph), population, budget=1.0)
-        estimate = problem.evaluate(
-            Configuration.integer([0], 2), num_samples=200, seed=8, engine="auto"
-        )
+        estimate = problem.evaluate(Configuration.integer([0], 2), num_samples=200, seed=8)
         assert estimate.mean >= 1.0
-
-    def test_batch_rejected_for_lt(self):
-        from repro.diffusion.linear_threshold import LinearThreshold
-        from repro.graphs.build import from_edges
-
-        graph = from_edges([(0, 1, 0.5)], num_nodes=2)
-        population = CurvePopulation.uniform(2, LinearCurve())
-        problem = CIMProblem(LinearThreshold(graph), population, budget=1.0)
-        with pytest.raises(ConfigurationError):
-            problem.evaluate(Configuration.integer([0], 2), engine="batch")
-
-    def test_unknown_engine_rejected(self):
-        problem = make_problem()
-        with pytest.raises(ConfigurationError):
-            problem.evaluate(Configuration.zeros(5), engine="warp")
 
 
 class TestBuildHypergraph:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.diffusion.independent_cascade import IndependentCascade
+from repro.diffusion.montecarlo import estimate_spread
 from repro.exceptions import NodeNotFoundError
 from repro.graphs.build import from_edges
 from repro.graphs.generators import isolated_nodes, path_graph, star_graph
@@ -71,25 +72,21 @@ class TestSpread:
         # I({hub}) = 1 + 4 * p  for the out-star.
         g = star_graph(4, probability=0.1)
         ic = IndependentCascade(g)
-        spread = ic.spread([0], num_samples=20000, seed=1)
+        spread = estimate_spread(ic, [0], num_samples=20000, seed=1).mean
         assert spread == pytest.approx(1.4, abs=0.03)
 
     def test_two_hop_path_spread(self):
         # I({0}) on 0 ->(0.5) 1 ->(0.5) 2 equals 1 + 0.5 + 0.25.
         g = from_edges([(0, 1, 0.5), (1, 2, 0.5)], num_nodes=3)
         ic = IndependentCascade(g)
-        spread = ic.spread([0], num_samples=30000, seed=2)
+        spread = estimate_spread(ic, [0], num_samples=30000, seed=2).mean
         assert spread == pytest.approx(1.75, abs=0.03)
 
     def test_spread_of_all_nodes_is_n(self, rng):
         g = path_graph(5, probability=0.3)
         ic = IndependentCascade(g)
-        assert ic.spread(range(5), num_samples=10, seed=3) == pytest.approx(5.0)
-
-    def test_invalid_num_samples(self):
-        ic = IndependentCascade(path_graph(3))
-        with pytest.raises(ValueError):
-            ic.spread([0], num_samples=0)
+        spread = estimate_spread(ic, range(5), num_samples=10, seed=3).mean
+        assert spread == pytest.approx(5.0)
 
 
 class TestRRSets:

@@ -9,7 +9,7 @@ from repro.diffusion.montecarlo import (
     estimate_spread,
     sample_seed_set,
 )
-from repro.exceptions import EstimationError
+from repro.exceptions import EstimationError, NodeNotFoundError
 from repro.graphs.generators import isolated_nodes, path_graph, star_graph
 
 
@@ -33,6 +33,8 @@ class TestSampleSeedSet:
             sample_seed_set(np.array([1.2]), rng)
         with pytest.raises(EstimationError):
             sample_seed_set(np.array([[0.5]]), rng)
+        with pytest.raises(EstimationError):
+            sample_seed_set(np.array([np.nan]), rng)
 
 
 class TestEstimateSpread:
@@ -99,3 +101,23 @@ class TestEstimateConfigurationSpread:
         ic = IndependentCascade(path_graph(3))
         with pytest.raises(EstimationError):
             estimate_configuration_spread(ic, np.zeros(3), num_samples=-1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+class TestInputsCheckedBeforeChunks:
+    """A bad input raises the same error at every worker count."""
+
+    MODEL = IndependentCascade(path_graph(4, probability=0.5))
+
+    @pytest.mark.parametrize(
+        "q", [[0.5, 1.5, 0.0, 0.1], [0.5, -0.1, 0.0, 0.1], [0.5, np.nan, 0.0, 0.1]]
+    )
+    def test_probability_out_of_range(self, workers, q):
+        with pytest.raises(EstimationError):
+            estimate_configuration_spread(
+                self.MODEL, np.array(q), num_samples=1000, workers=workers, chunk_size=100
+            )
+
+    def test_seed_outside_graph(self, workers):
+        with pytest.raises(NodeNotFoundError):
+            estimate_spread(self.MODEL, [7], num_samples=1000, workers=workers, chunk_size=100)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.diffusion.independent_cascade import IndependentCascade
 from repro.diffusion.linear_threshold import LinearThreshold
+from repro.diffusion.montecarlo import estimate_spread
 from repro.diffusion.triggering import (
     TriggeringModel,
     ic_trigger_sampler,
@@ -55,8 +56,8 @@ class TestEquivalence:
         trig = TriggeringModel(g, ic_trigger_sampler)
         ic = IndependentCascade(g)
         seeds = [0, 1, 2]
-        s1 = trig.spread(seeds, num_samples=4000, seed=3)
-        s2 = ic.spread(seeds, num_samples=4000, seed=4)
+        s1 = estimate_spread(trig, seeds, num_samples=4000, seed=3).mean
+        s2 = estimate_spread(ic, seeds, num_samples=4000, seed=4).mean
         assert s1 == pytest.approx(s2, rel=0.1)
 
     def test_lt_equivalence_spread(self):
@@ -64,14 +65,14 @@ class TestEquivalence:
         trig = TriggeringModel(g, lt_trigger_sampler)
         lt = LinearThreshold(g)
         seeds = [0, 1, 2]
-        s1 = trig.spread(seeds, num_samples=4000, seed=6)
-        s2 = lt.spread(seeds, num_samples=4000, seed=7)
+        s1 = estimate_spread(trig, seeds, num_samples=4000, seed=6).mean
+        s2 = estimate_spread(lt, seeds, num_samples=4000, seed=7).mean
         assert s1 == pytest.approx(s2, rel=0.1)
 
     def test_default_sampler_is_ic(self):
         g = path_graph(3, probability=1.0)
         trig = TriggeringModel(g)
-        assert trig.spread([0], num_samples=20, seed=8) == pytest.approx(3.0)
+        assert estimate_spread(trig, [0], num_samples=20, seed=8).mean == pytest.approx(3.0)
 
 
 class TestCascadeSemantics:

@@ -61,7 +61,7 @@ class TestLargePipeline:
         )
         assert result.objective_value >= ud.spread_estimate - 1e-6
 
-    def test_batch_evaluation_scales(self, large_analogue):
+    def test_evaluation_scales(self, large_analogue):
         population = paper_mixture(large_analogue.num_nodes, seed=7)
         problem = CIMProblem(
             IndependentCascade(large_analogue), population, budget=10.0
@@ -69,7 +69,7 @@ class TestLargePipeline:
         from repro.core.configuration import Configuration
 
         config = Configuration.uniform(10.0, large_analogue.num_nodes)
-        estimate = problem.evaluate(config, num_samples=500, seed=8, engine="batch")
+        estimate = problem.evaluate(config, num_samples=500, seed=8)
         assert estimate.mean > 0
 
     def test_deep_cascade_no_recursion_limits(self):
