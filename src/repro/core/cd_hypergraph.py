@@ -39,6 +39,7 @@ from repro.obs.context import get_metrics, get_tracer
 from repro.rrset.estimator import HypergraphObjective
 from repro.rrset.hypergraph import RRHypergraph
 from repro.runtime.deadline import DeadlineLike, as_deadline
+from repro.utils.spill import peak_rss_mb
 
 __all__ = ["HypergraphCDResult", "coordinate_descent_hypergraph"]
 
@@ -373,6 +374,7 @@ def coordinate_descent_hypergraph(
             metrics.inc("cd.lazy_pair_skips_total", lazy_skips)
         if expired:
             metrics.inc("cd.deadline_expired_total")
+        span.note(peak_rss_mb=peak_rss_mb())
 
     if constraints is not None:
         constraints.require_satisfied(discounts)

@@ -29,6 +29,7 @@ from repro.core.objective import SpreadOracle
 from repro.exceptions import ConfigurationError, SolverError
 from repro.obs.context import get_metrics, get_tracer
 from repro.runtime.deadline import DeadlineLike, as_deadline
+from repro.utils.spill import peak_rss_mb
 from repro.utils.rng import SeedLike, as_generator
 
 __all__ = [
@@ -256,6 +257,7 @@ def coordinate_descent(
         metrics.inc("cd.deadline_polls_total", polls)
         if expired:
             metrics.inc("cd.deadline_expired_total")
+        span.note(peak_rss_mb=peak_rss_mb())
     return CoordinateDescentResult(
         configuration=config,
         objective_value=current_value,

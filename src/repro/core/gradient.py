@@ -53,6 +53,7 @@ from repro.obs.context import get_metrics, get_tracer
 from repro.rrset.estimator import HypergraphObjective
 from repro.rrset.hypergraph import RRHypergraph
 from repro.runtime.deadline import DeadlineLike, as_deadline
+from repro.utils.spill import peak_rss_mb
 
 __all__ = [
     "GradientResult",
@@ -554,6 +555,7 @@ def projected_gradient_ascent(
         metrics.set_gauge("gradient.duality_gap", float(duality_gap))
         if expired:
             metrics.inc("gradient.deadline_expired_total")
+        span.note(peak_rss_mb=peak_rss_mb())
 
     configuration = Configuration(discounts).require_feasible(problem.budget)
     return GradientResult(
@@ -743,6 +745,7 @@ def frank_wolfe(
         metrics.set_gauge("gradient.duality_gap", float(duality_gap))
         if expired:
             metrics.inc("gradient.deadline_expired_total")
+        span.note(peak_rss_mb=peak_rss_mb())
 
     configuration = Configuration(discounts).require_feasible(problem.budget)
     return GradientResult(

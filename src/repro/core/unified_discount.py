@@ -26,6 +26,7 @@ from repro.obs.context import get_metrics, get_tracer
 from repro.rrset.coverage import weighted_max_coverage
 from repro.rrset.hypergraph import RRHypergraph
 from repro.runtime.deadline import DeadlineLike, as_deadline
+from repro.utils.spill import peak_rss_mb
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.constraints import ResolvedConstraints
@@ -180,6 +181,7 @@ def unified_discount(
         metrics.inc("ud.deadline_polls_total", polls)
         if expired:
             metrics.inc("ud.deadline_expired_total")
+        span.note(peak_rss_mb=peak_rss_mb())
 
     if best is None:
         raise SolverError(

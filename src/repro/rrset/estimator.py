@@ -34,12 +34,21 @@ Three mechanisms keep the CD pair step at ``O(deg_H)`` instead of
   :meth:`value` between mutations, pays O(1) per call and the returned
   floats are bit-identical to a from-scratch scan at every consumption
   point (the determinism contract of the CD solvers).
-* **Vectorized rebuild.**  :meth:`rebuild` is a whole-array
-  ``np.add.reduceat`` / ``np.multiply.reduceat`` pass over the edge-sorted
-  factor stream.  Zero factors are masked to exact ``1.0`` before the
-  product, which preserves bit-identical results with the historical
-  per-edge ``np.prod`` loop (multiplying by 1.0 is exact, and numpy's
-  multiply reductions are sequential, not pairwise).
+* **Streamed member blocks.**  :meth:`rebuild`, :meth:`extend` and
+  :meth:`gradient` walk the member stream in runs of whole hyper-edges
+  of at most :data:`_BLOCK_MEMBERS` members (an edge longer than that
+  runs alone), so their temporaries are O(block), not O(stream); nothing
+  stream-sized is cached.  Per block, rebuild is an ``np.add.reduceat`` /
+  ``np.multiply.reduceat`` pass over the gathered factors, with zero
+  factors masked to exact ``1.0``: bit-identical to the historical
+  per-edge ``np.prod`` loop (multiplying by 1.0 is exact, numpy's
+  multiply reductions are sequential, and reduceat segments are
+  independent, so where blocks end does not matter).  The gradient
+  accumulates each block with ``np.add.at``, the same sequential
+  per-bin additions in stream order as a whole-stream ``bincount``.  On
+  the ca-AstroPh analogue (60,000 hyper-edges, 886,711 members) the
+  tracemalloc peak of one call fell from 35.7 to 2.1 MiB (gradient) and
+  from 15.0 to 1.3 MiB (rebuild); docs/performance.md has the numbers.
 * **Pair-topology cache.**  The ``only_i`` / ``only_j`` / ``shared``
   incident-edge split of :meth:`pair_coefficients` depends only on the
   immutable hyper-graph, and the cyclic CD strategy revisits the same
@@ -49,17 +58,23 @@ Three mechanisms keep the CD pair step at ``O(deg_H)`` instead of
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import EstimationError
 from repro.obs.context import get_metrics
 from repro.rrset.hypergraph import RRHypergraph
+from repro.utils.spill import empty_array, is_spill_backed
 
 __all__ = ["HypergraphObjective", "PairCoefficients"]
 
 _ONE_TOLERANCE = 1e-12
+
+#: Members per streamed block of the whole-stream kernels: a few float64
+#: temporaries of this length bound what one rebuild or gradient call
+#: allocates, whatever the size of the member stream.
+_BLOCK_MEMBERS = 1 << 16
 
 #: Factors in ``(_ONE_TOLERANCE, _SAFE_DIVIDE_TOLERANCE]`` are too small to
 #: divide out of the stored non-zero product without amplifying round-off;
@@ -73,6 +88,39 @@ _SAFE_DIVIDE_TOLERANCE = 1e-6
 #: ``objective.topology_cache_evictions_total``) — cyclic CD working sets
 #: are O(|support|^2) and fit far below it.
 DEFAULT_TOPOLOGY_CACHE_LIMIT = 1 << 17
+
+
+def _edge_blocks(
+    offsets: np.ndarray, first_edge: int = 0
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """Split hyper-edges ``first_edge..`` into runs of whole edges.
+
+    A run spans at most :data:`_BLOCK_MEMBERS` members, or is one longer
+    edge alone.  Yields each run's first edge id and its ``len + 1``
+    member offsets as int64 (signed, whatever the hyper-graph's offset
+    dtype); trailing empty edges join the last run.
+    """
+    last = offsets.size - 1
+    total = int(offsets[-1])
+    start = first_edge
+    while start < last:
+        limit = min(int(offsets[start]) + _BLOCK_MEMBERS, total)
+        stop = int(np.searchsorted(offsets, limit, side="right")) - 1
+        stop = max(stop, start + 1)
+        yield start, np.asarray(offsets[start : stop + 1], dtype=np.int64)
+        start = stop
+
+
+def _survival_arrays(hypergraph: RRHypergraph) -> Tuple[np.ndarray, np.ndarray]:
+    """Uninitialized ``(zero_count, nonzero_prod)`` on the hyper-graph's
+    placement: on a spill-backed hyper-graph these theta-sized arrays land
+    in spill files too, and every update writes them in place."""
+    backing = "mmap" if is_spill_backed(hypergraph.edge_nodes) else None
+    size = hypergraph.num_hyperedges
+    return (
+        empty_array(size, np.int64, backing=backing, name_hint="zero-count"),
+        empty_array(size, np.float64, backing=backing, name_hint="nonzero-prod"),
+    )
 
 
 class PairCoefficients:
@@ -156,45 +204,11 @@ class HypergraphObjective:
         if np.any(probs < 0.0) or np.any(probs > 1.0) or np.any(np.isnan(probs)):
             raise EstimationError("seed probabilities must lie in [0, 1]")
         self._probs = probs
-        # Per-edge survival state inherits the hyper-graph's backing: on
-        # a spill-backed hyper-graph these theta-sized arrays land in
-        # spill files too (rebuild and the delta updates all write
-        # in-place, so the placement survives the objective's lifetime).
-        from repro.utils.spill import empty_array, is_spill_backed
-
-        backing = "mmap" if is_spill_backed(hypergraph.edge_nodes) else None
-        self._zero_count = empty_array(
-            hypergraph.num_hyperedges, np.int64, backing=backing,
-            name_hint="zero-count",
-        )
-        self._zero_count[:] = 0
-        self._nonzero_prod = empty_array(
-            hypergraph.num_hyperedges, np.float64, backing=backing,
-            name_hint="nonzero-prod",
-        )
-        self._nonzero_prod[:] = 1.0
-
-        # Reduceat geometry, fixed by the immutable hyper-graph: segment
-        # starts of the *non-empty* hyper-edges in the member stream.  An
-        # empty edge's start (possibly == edge_nodes.size for a trailing
-        # one) must never reach reduceat — clipping it in-bounds would
-        # steal an element from the neighboring segment — so empty edges
-        # keep the neutral (0, 1.0) state and non-empty results are
-        # scattered back through the mask.
-        sizes = np.diff(hypergraph.edge_offsets)
-        self._nonempty_edges = sizes > 0
-        self._any_empty = not bool(self._nonempty_edges.all())
-        # int64 copy: reduceat geometry must be signed regardless of the
-        # hyper-graph's (possibly unsigned, narrowed) offset dtype.
-        self._reduce_starts = np.asarray(
-            hypergraph.edge_offsets[:-1][self._nonempty_edges], dtype=np.int64
-        )
-
+        self._zero_count, self._nonzero_prod = _survival_arrays(hypergraph)
         self._covered_sum = 0.0
         self._scan_stale = False
         self._topology_cache: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._topology_cache_limit = int(topology_cache_limit)
-        self._member_edge_cache: Optional[np.ndarray] = None
         self.rebuild()
 
     # ------------------------------------------------------------------
@@ -212,44 +226,43 @@ class HypergraphObjective:
     def rebuild(self) -> None:
         """Recompute all per-edge survival state from scratch, vectorized.
 
-        One ``reduceat`` pass over the edge-sorted factor stream replaces
-        the historical per-edge Python loop; results are bit-identical
-        (zero factors are masked to exact 1.0, and numpy multiply
-        reductions are sequential).  Also resynchronizes the running
-        covered-sum exactly, washing out any incremental float drift.
+        Also resynchronizes the running covered-sum exactly, washing out
+        any incremental float drift.
         """
-        hg = self.hypergraph
-        one_minus = 1.0 - self._probs
-        if hg.edge_nodes.size:
-            member_factors = one_minus[hg.edge_nodes]
-            member_zero = member_factors <= _ONE_TOLERANCE
-            member_factors[member_zero] = 1.0
-            starts = self._reduce_starts
-            if self._any_empty:
-                # reduceat runs only over non-empty segment starts (strictly
-                # increasing, all in bounds); empty edges — including a
-                # trailing one whose offset equals the stream length — keep
-                # the neutral (0, 1.0) survival state.
-                nonempty = self._nonempty_edges
-                self._zero_count[:] = 0
-                self._nonzero_prod[:] = 1.0
-                self._zero_count[nonempty] = np.add.reduceat(
-                    member_zero.astype(np.int64), starts
-                )
-                self._nonzero_prod[nonempty] = np.multiply.reduceat(
-                    member_factors, starts
-                )
-            else:
-                self._zero_count[:] = np.add.reduceat(
-                    member_zero.astype(np.int64), starts
-                )
-                self._nonzero_prod[:] = np.multiply.reduceat(member_factors, starts)
-        else:
-            self._zero_count[:] = 0
-            self._nonzero_prod[:] = 1.0
+        self._fill_survival(0)
         self._covered_sum = self._scan_covered()
         self._scan_stale = False
         get_metrics().inc("objective.rebuilds_total")
+
+    def _fill_survival(self, first_edge: int) -> None:
+        """Write the survival state of hyper-edges ``first_edge..`` in place.
+
+        One ``reduceat`` pass per member block replaces the historical
+        per-edge Python loop, bit for bit (zero factors are masked to
+        exact 1.0, numpy multiply reductions are sequential, and segments
+        are independent).  Only the starts of non-empty edges reach
+        reduceat: an empty edge's start may equal the block's length (a
+        trailing one), and clipping it in bounds would steal an element
+        from the neighboring segment; empty edges keep the neutral
+        ``(0, 1.0)`` state.
+        """
+        one_minus = 1.0 - self._probs
+        stream = np.asarray(self.hypergraph.edge_nodes)
+        for first, offsets in _edge_blocks(
+            np.asarray(self.hypergraph.edge_offsets), first_edge
+        ):
+            factors = one_minus[stream[offsets[0] : offsets[-1]]]
+            zero = factors <= _ONE_TOLERANCE
+            nonempty = np.diff(offsets) > 0
+            starts = offsets[:-1][nonempty] - offsets[0]
+            zero_count = self._zero_count[first : first + nonempty.size]
+            nonzero_prod = self._nonzero_prod[first : first + nonempty.size]
+            zero_count[:] = 0
+            nonzero_prod[:] = 1.0
+            if zero.any():
+                factors[zero] = 1.0
+                zero_count[nonempty] = np.add.reduceat(zero, starts, dtype=np.int64)
+            nonzero_prod[nonempty] = np.multiply.reduceat(factors, starts)
 
     def _scan_covered(self) -> float:
         """Exact full pass: ``sum_h (1 - survival_h)`` over all edges."""
@@ -342,14 +355,16 @@ class HypergraphObjective:
 
         ``hypergraph`` must extend the current one as a prefix (what
         :meth:`RRHypergraph.extend` produces).  The appended edges' zero
-        counts and non-zero products come from one ``reduceat`` pass over
-        the suffix of the member stream — identical, edge for edge, to
-        what a full :meth:`rebuild` on the extended graph would compute,
-        because reduceat segments are independent.  The running
-        covered-sum absorbs the new edges' coverage and the scan cache is
-        invalidated, so the next :meth:`value` performs one exact full
-        scan and is bit-identical to a freshly built objective.  Cost is
-        ``O(new members)`` plus array appends — no O(total) recompute.
+        counts and non-zero products come from the rebuild kernel run
+        over the suffix of the member stream — identical, edge for edge,
+        to what a full :meth:`rebuild` on the extended graph would
+        compute, because reduceat segments are independent.  The grown
+        state arrays follow the extended hyper-graph's placement, as in
+        the constructor.  The running covered-sum absorbs the new edges'
+        coverage and the scan cache is invalidated, so the next
+        :meth:`value` performs one exact full scan and is bit-identical
+        to a freshly built objective.  Cost is ``O(new members)`` plus
+        array copies — no O(total) recompute.
 
         The pair-topology cache is cleared: new hyper-edges change
         incident-edge splits.
@@ -370,41 +385,18 @@ class HypergraphObjective:
                 "extended hyper-graph does not contain the current one as a prefix"
             )
         added = hypergraph.num_hyperedges - old_m
-        old_stream = old.edge_nodes.size
 
-        zero_tail = np.zeros(added, dtype=np.int64)
-        prod_tail = np.ones(added, dtype=np.float64)
-        tail_nodes = hypergraph.edge_nodes[old_stream:]
-        tail_offsets = (
-            np.asarray(hypergraph.edge_offsets[old_m:], dtype=np.int64) - old_stream
-        )
-        tail_sizes = np.diff(tail_offsets)
-        tail_nonempty = tail_sizes > 0
-        if tail_nodes.size:
-            factors = (1.0 - self._probs)[tail_nodes]
-            zero_mask = factors <= _ONE_TOLERANCE
-            factors[zero_mask] = 1.0
-            starts = tail_offsets[:-1][tail_nonempty]
-            zero_tail[tail_nonempty] = np.add.reduceat(
-                zero_mask.astype(np.int64), starts
-            )
-            prod_tail[tail_nonempty] = np.multiply.reduceat(factors, starts)
-        survival_tail = np.where(zero_tail > 0, 0.0, prod_tail)
-
-        self._zero_count = np.concatenate([self._zero_count, zero_tail])
-        self._nonzero_prod = np.concatenate([self._nonzero_prod, prod_tail])
+        zero_count, nonzero_prod = _survival_arrays(hypergraph)
+        zero_count[:old_m] = self._zero_count
+        nonzero_prod[:old_m] = self._nonzero_prod
+        self._zero_count, self._nonzero_prod = zero_count, nonzero_prod
         self.hypergraph = hypergraph
-        sizes = np.diff(hypergraph.edge_offsets)
-        self._nonempty_edges = sizes > 0
-        self._any_empty = not bool(self._nonempty_edges.all())
-        self._reduce_starts = np.asarray(
-            hypergraph.edge_offsets[:-1][self._nonempty_edges], dtype=np.int64
-        )
+        self._fill_survival(old_m)
         # covered = sum (1 - survival); new edges only add their own term.
+        survival_tail = self._survival(slice(old_m, None))
         self._covered_sum += float((1.0 - survival_tail).sum())
         self._scan_stale = True
         self._topology_cache.clear()
-        self._member_edge_cache = None
         metrics = get_metrics()
         metrics.inc("objective.extends_total")
         metrics.inc("objective.extended_hyperedges_total", added)
@@ -544,31 +536,16 @@ class HypergraphObjective:
         scale = self.hypergraph.num_nodes / self.hypergraph.num_hyperedges
         return scale * float(excl.sum())
 
-    def _member_edge_ids(self) -> np.ndarray:
-        """Edge id of every position in the member stream (cached).
-
-        Pure hyper-graph topology (``np.repeat`` over the segment sizes);
-        invalidated by :meth:`extend`.
-        """
-        cache = self._member_edge_cache
-        if cache is None:
-            hg = self.hypergraph
-            sizes = np.diff(hg.edge_offsets)
-            cache = np.repeat(
-                np.arange(hg.num_hyperedges, dtype=np.int64), sizes
-            )
-            self._member_edge_cache = cache
-        return cache
-
     def gradient(self, curve_derivatives: Optional[np.ndarray] = None) -> np.ndarray:
         """Full gradient vector of the estimate, all coordinates at once.
 
         Without ``curve_derivatives`` this is the q-space gradient
         ``∂UI/∂q_u = (n/theta) * sum_{h ∋ u} survival_{h \\ u}`` — exactly
         :meth:`gradient_coordinate` for every node, but computed in one
-        vectorized pass over the member stream (``O(sum_h |h|)``) instead
-        of ``n`` incident-edge loops.  With ``curve_derivatives`` (the
-        per-node slopes ``p'_u(c_u)``) the chain rule maps it to c-space:
+        vectorized pass over the member stream (``O(sum_h |h|)``, one
+        member block at a time) instead of ``n`` incident-edge loops.
+        With ``curve_derivatives`` (the per-node slopes ``p'_u(c_u)``)
+        the chain rule maps it to c-space:
         ``∂UI/∂c_u = ∂UI/∂q_u * p'_u(c_u)``.
 
         The survival of an edge excluding one member comes from the
@@ -589,34 +566,36 @@ class HypergraphObjective:
         if hg.num_hyperedges == 0:
             raise EstimationError("hyper-graph has no hyper-edges")
         n = hg.num_nodes
-        stream = hg.edge_nodes
-        scale = n / hg.num_hyperedges
-        if stream.size == 0:
-            grad = np.zeros(n, dtype=np.float64)
-        else:
-            edge_ids = self._member_edge_ids()
-            factors = (1.0 - self._probs)[stream]
+        one_minus = 1.0 - self._probs
+        stream = np.asarray(hg.edge_nodes)
+        # np.add.at makes the same sequential per-bin additions, in stream
+        # order, as a whole-stream bincount: bit-identical, block by block.
+        grad = np.zeros(n, dtype=np.float64)
+        for first, offsets in _edge_blocks(np.asarray(hg.edge_offsets)):
+            edges = slice(first, first + offsets.size - 1)
+            sizes = np.diff(offsets)
+            members = stream[offsets[0] : offsets[-1]]
+            factors = one_minus[members]
             zero_here = factors <= _ONE_TOLERANCE
-            prod = self._nonzero_prod[edge_ids]
-            excl = np.empty(stream.size, dtype=np.float64)
             # q_u = 1: the stored product of non-zero factors *is* the
             # product excluding u (up to other zero members, masked below).
-            np.divide(prod, factors, out=excl, where=~zero_here)
-            excl[zero_here] = prod[zero_here]
+            excl = np.repeat(self._nonzero_prod[edges], sizes)
+            np.divide(excl, factors, out=excl, where=~zero_here)
             risky = ~zero_here & (factors <= _SAFE_DIVIDE_TOLERANCE)
-            if np.any(risky):
-                offsets = hg.edge_offsets
-                for pos in np.nonzero(risky)[0]:
-                    edge = int(edge_ids[pos])
-                    seg = factors[offsets[edge] : offsets[edge + 1]]
-                    keep = seg > _ONE_TOLERANCE
-                    keep[int(pos) - int(offsets[edge])] = False
-                    excl[pos] = float(np.prod(seg[keep]))
+            local = offsets - offsets[0]
+            for pos in np.flatnonzero(risky):
+                edge = int(np.searchsorted(local, pos, side="right")) - 1
+                seg = factors[local[edge] : local[edge + 1]]
+                keep = seg > _ONE_TOLERANCE
+                keep[pos - local[edge]] = False
+                excl[pos] = float(np.prod(seg[keep]))
             # Any *other* member with q = 1 forces the excluded survival
             # to exact zero.
-            zero_others = self._zero_count[edge_ids] - zero_here.astype(np.int64)
-            excl[zero_others > 0] = 0.0
-            grad = scale * np.bincount(stream, weights=excl, minlength=n)
+            zero_count = self._zero_count[edges]
+            if zero_count.any():
+                excl[np.repeat(zero_count, sizes) > zero_here] = 0.0
+            np.add.at(grad, members, excl)
+        grad *= n / hg.num_hyperedges
         if curve_derivatives is not None:
             slopes = np.asarray(curve_derivatives, dtype=np.float64)
             if slopes.shape != (n,):

@@ -155,6 +155,21 @@ class TestSolveTelemetry:
         assert names == ["hypergraph.build", "solver.ud"]
         assert root["children"][0]["children"][0]["name"] == "rrset.sample"
 
+    @pytest.mark.parametrize(
+        "method, span",
+        [("ud", "solver.ud"), ("cd", "solver.cd"), ("gradient", "solver.gradient")],
+    )
+    def test_solver_span_notes_peak_rss(self, obs_problem, method, span):
+        """The high-water mark is a runtime note: in the trace, not canonical."""
+        tracer = Tracer()
+        with observe(tracer=tracer, metrics=MetricsRegistry(), merge_up=False):
+            solve(obs_problem, method, num_hyperedges=256, seed=13)
+        (root,) = tracer.roots
+        solver = [child for child in root.children if child.name == span]
+        assert len(solver) == 1
+        assert solver[0].runtime["peak_rss_mb"] > 0
+        assert "peak_rss_mb" not in str(tracer.canonical())
+
     def test_history_independent_extras_metrics(self, obs_problem):
         """``extras["metrics"]`` describes one solve, not the session."""
         first = solve(obs_problem, "ud", num_hyperedges=256, seed=13)

@@ -5,7 +5,9 @@ of the three RR-hypergraph hot paths:
 
 * :class:`ReferenceObjective` — the Theorem-9 objective with a per-edge
   Python ``rebuild`` loop, an O(theta) full scan inside every ``value()``
-  call, and per-call ``intersect1d``/``setdiff1d`` pair topology.
+  call, per-call ``intersect1d``/``setdiff1d`` pair topology, and the
+  whole-stream ``gradient()`` (member-stream-sized temporaries and one
+  ``bincount``) that the blocked kernel replaced.
 * :func:`reference_coverage` — the Python-set ``deg_H(S)`` computation.
 * :func:`reference_csr_build` — the per-edge CSR assignment loop of the
   original ``RRHypergraph.__init__``.
@@ -40,6 +42,7 @@ from repro.rrset.hypergraph import RRHypergraph
 __all__ = ["ReferenceObjective", "reference_coverage", "reference_csr_build"]
 
 _ONE_TOLERANCE = 1e-12
+_SAFE_DIVIDE_TOLERANCE = 1e-6
 
 
 class ReferenceObjective:
@@ -48,7 +51,7 @@ class ReferenceObjective:
     API-compatible with :class:`repro.rrset.estimator.HypergraphObjective`
     for every method the solvers call (``value``, ``set_probability``,
     ``set_probabilities``, ``pair_coefficients``, ``coordinate_value``,
-    ``gradient_coordinate``, ``rebuild``), so it can be passed to
+    ``gradient_coordinate``, ``gradient``, ``rebuild``), so it can be passed to
     :func:`repro.core.cd_hypergraph.coordinate_descent_hypergraph` as its
     ``objective=``.
     """
@@ -193,6 +196,47 @@ class ReferenceObjective:
         excl = self._survival_excluding(edges, (node,))
         scale = self.hypergraph.num_nodes / self.hypergraph.num_hyperedges
         return scale * float(excl.sum())
+
+    def gradient(self, curve_derivatives=None) -> np.ndarray:
+        """The whole-stream gradient: every temporary is as long as the
+        member stream, and one ``bincount`` accumulates it."""
+        hg = self.hypergraph
+        if hg.num_hyperedges == 0:
+            raise EstimationError("hyper-graph has no hyper-edges")
+        n = hg.num_nodes
+        stream = hg.edge_nodes
+        scale = n / hg.num_hyperedges
+        if stream.size == 0:
+            grad = np.zeros(n, dtype=np.float64)
+        else:
+            sizes = np.diff(hg.edge_offsets)
+            edge_ids = np.repeat(np.arange(hg.num_hyperedges, dtype=np.int64), sizes)
+            factors = (1.0 - self._probs)[stream]
+            zero_here = factors <= _ONE_TOLERANCE
+            prod = self._nonzero_prod[edge_ids]
+            excl = np.empty(stream.size, dtype=np.float64)
+            np.divide(prod, factors, out=excl, where=~zero_here)
+            excl[zero_here] = prod[zero_here]
+            risky = ~zero_here & (factors <= _SAFE_DIVIDE_TOLERANCE)
+            if np.any(risky):
+                offsets = hg.edge_offsets
+                for pos in np.nonzero(risky)[0]:
+                    edge = int(edge_ids[pos])
+                    seg = factors[offsets[edge] : offsets[edge + 1]]
+                    keep = seg > _ONE_TOLERANCE
+                    keep[int(pos) - int(offsets[edge])] = False
+                    excl[pos] = float(np.prod(seg[keep]))
+            zero_others = self._zero_count[edge_ids] - zero_here.astype(np.int64)
+            excl[zero_others > 0] = 0.0
+            grad = scale * np.bincount(stream, weights=excl, minlength=n)
+        if curve_derivatives is not None:
+            slopes = np.asarray(curve_derivatives, dtype=np.float64)
+            if slopes.shape != (n,):
+                raise EstimationError(
+                    f"curve_derivatives must have length n={n}, got {slopes.shape}"
+                )
+            grad = grad * slopes
+        return grad
 
 
 def reference_coverage(hypergraph: RRHypergraph, seeds: Sequence[int]) -> int:

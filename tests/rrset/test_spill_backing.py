@@ -162,3 +162,19 @@ class TestObjectivePlacement:
             HypergraphObjective(heap_hg, probs).value()
             == HypergraphObjective(mmap_hg, probs).value()
         )
+
+    def test_extend_keeps_state_spill_backed(self, tmp_path):
+        model = _model()
+        probs = np.random.default_rng(8).uniform(0.0, 0.4, size=model.num_nodes)
+        sizes, members = _mmap_build(model, 512, tmp_path)
+        objective = HypergraphObjective(_from_csr(model.num_nodes, sizes, members), probs)
+        new_sizes, new_members = _mmap_build(model, 256, tmp_path, start_at=512)
+        objective.extend(objective.hypergraph.extend_csr(new_sizes, new_members))
+        assert is_spill_backed(objective._zero_count)
+        assert is_spill_backed(objective._nonzero_prod)
+
+        heap_hg = RRHypergraph(model.num_nodes, sample_rr_sets(model, 512, seed=5))
+        twin = HypergraphObjective(heap_hg, probs)
+        twin.extend(heap_hg.extend(sample_rr_sets(model, 256, seed=5, start_at=512)))
+        assert not is_spill_backed(twin._zero_count)
+        assert objective.value() == twin.value()
