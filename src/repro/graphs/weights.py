@@ -18,7 +18,7 @@ import numpy as np
 from repro.exceptions import GraphError
 from repro.graphs.digraph import DiGraph
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.spill import is_spill_backed, release_pages, spill_array
+from repro.utils.spill import empty_array, is_spill_backed, release_pages
 
 __all__ = [
     "assign_weighted_cascade",
@@ -26,53 +26,38 @@ __all__ = [
     "assign_trivalency_probabilities",
 ]
 
+#: Edges per gather/repeat step of :func:`assign_weighted_cascade`.
+_CHUNK = 1 << 23
+
 
 def assign_weighted_cascade(graph: DiGraph, alpha: float = 1.0) -> DiGraph:
     """Weighted-cascade probabilities: ``p(u, v) = alpha / in_degree(v)``.
 
     ``alpha`` must satisfy ``0 < alpha <= 1`` (the paper uses 0.7/0.85/1.0).
-    Every edge target has in-degree >= 1 by construction, so the formula is
-    always well defined.
+    All edges into ``v`` get one value, so the adjacency is adopted with no
+    transpose rebuild; ``out_probs`` and ``in_probs`` follow the graph's
+    placement and equal ``with_probabilities`` on ``alpha / in_degree`` bitwise.
     """
     if not 0.0 < alpha <= 1.0:
         raise GraphError(f"alpha must lie in (0, 1], got {alpha}")
-    if is_spill_backed(graph.out_targets):
-        return _weighted_cascade_spill(graph, alpha)
-    in_degrees = graph.in_degrees().astype(np.float64)
-    probs = alpha / in_degrees[graph.out_targets]
-    # in_degree(v) >= 1 whenever v appears as a target, and alpha <= 1,
-    # so probabilities are automatically in (0, 1].
-    return graph.with_probabilities(probs)
-
-
-def _weighted_cascade_spill(graph: DiGraph, alpha: float, chunk: int = 1 << 23) -> DiGraph:
-    """Weighted cascade for spill-backed graphs, without a transpose rebuild.
-
-    ``with_probabilities`` re-derives the in-adjacency from scratch — an
-    O(m log m) argsort with m-sized heap scratch, pointless here because
-    the probability of every edge *into* ``v`` is the same
-    ``alpha / in_degree(v)``.  Instead: compute the n-sized per-target
-    value once, gather it chunkwise into a spill-backed ``out_probs``,
-    expand it chunkwise (``repeat``) into ``in_probs``, and adopt the
-    existing adjacency arrays unchanged.  Each probability is produced
-    by the identical IEEE division ``alpha / in_degree_f64[v]``, so the
-    result is bit-identical to the heap path's.
-    """
     n = graph.num_nodes
     in_offsets = graph.in_offsets
+    backing = "mmap" if is_spill_backed(graph.out_targets) else None
     with np.errstate(divide="ignore"):
         # Isolated targets (in-degree 0) produce inf here but are never
         # gathered (they appear in no edge) nor repeated (count 0).
         per_target = alpha / np.diff(in_offsets).astype(np.float64)
-    out_probs = spill_array(graph.num_edges, np.float64, name_hint="wc-out-probs")
-    for start in range(0, graph.num_edges, chunk):
-        block = np.asarray(graph.out_targets[start : start + chunk])
+    m = graph.num_edges
+    out_probs = empty_array(m, np.float64, backing=backing, name_hint="wc-out-probs")
+    for start in range(0, m, _CHUNK):
+        block = np.asarray(graph.out_targets[start : start + _CHUNK])
         out_probs[start : start + block.size] = per_target[block]
     release_pages(out_probs)
-    in_probs = spill_array(graph.num_edges, np.float64, name_hint="wc-in-probs")
+    in_probs = empty_array(m, np.float64, backing=backing, name_hint="wc-in-probs")
     node = 0
     while node < n:
-        end = int(np.searchsorted(in_offsets, in_offsets[node] + chunk, side="right")) - 1
+        limit = in_offsets[node] + _CHUNK
+        end = int(np.searchsorted(in_offsets, limit, side="right")) - 1
         end = min(max(end, node + 1), n)
         lo, hi = int(in_offsets[node]), int(in_offsets[end])
         in_probs[lo:hi] = np.repeat(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import repeat
-from typing import List
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from repro.obs.context import get_metrics
 from repro.rrset.hypergraph import RRHypergraph
 
 __all__ = ["CoverageResult", "max_coverage", "weighted_max_coverage"]
+
+#: Stale CELF entries sorted up front; a grid point pops a few thousand.
+_SORTED_PREFIX = 4096
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,17 @@ class CoverageResult:
     gains: List[float]
     covered: float
     spread_estimate: float
+
+
+def _stale_entries(neg: np.ndarray, nodes: np.ndarray) -> Iterator[Tuple[float, int, int]]:
+    """``(neg, -1, node)`` tuples in ascending order: the best ``_SORTED_PREFIX``
+    and every tie at the cut first, the rest sorted only if reached."""
+    cut = np.inf
+    if neg.size > _SORTED_PREFIX:
+        cut = np.partition(neg, _SORTED_PREFIX)[_SORTED_PREFIX]
+    for part in (neg <= cut, neg > cut):
+        order = np.lexsort((nodes[part], neg[part]))  # gain ties by node id
+        yield from zip(neg[part][order].tolist(), repeat(-1), nodes[part][order].tolist())
 
 
 def weighted_max_coverage(
@@ -107,37 +121,34 @@ def weighted_max_coverage(
     node_edges = np.asarray(hypergraph.node_edges)
     survival = np.ones(hypergraph.num_hyperedges, dtype=np.float64)
 
-    def gain_of(node: int) -> float:
-        edges = node_edges[node_offsets[node] : node_offsets[node + 1]]
-        if edges.size == 0:
-            return 0.0
-        return float(node_probs[node] * survival[edges].sum())
-
-    # CELF priority queue: (-gain, stale_round, node).  With survival
-    # still all ones, gain_of(u) is q_u * deg_H(u) exactly (a float sum
-    # of ones is exact), so every initial gain is one vector expression.
-    # A candidate whose initial gain is zero can never be selected (gains
-    # only shrink and the loop stops at the first non-positive one), so
-    # it never enters the heap.
+    # CELF queue of (-gain, stale_round, node).  With survival all ones
+    # the gain of u is exactly q_u * deg_H(u), one vector expression; a
+    # zero-gain candidate can never be selected, so it is never queued.
+    # Untouched (round -1) entries come from one sorted stream, and only
+    # re-evaluated ones enter the heap.  Popping the smaller head pops what
+    # a heap of every candidate would (a stale tuple never equals a stamped one).
     initial = node_probs[candidates] * hypergraph.degrees()[candidates]
     positive = initial > 0.0
-    heap = list(
-        zip((-initial[positive]).tolist(), repeat(-1), candidates[positive].tolist())
-    )
-    heapq.heapify(heap)
-    seeded = len(heap)
+    seeded = int(np.count_nonzero(positive))
+    stale = _stale_entries(-initial[positive], candidates[positive])
+    head, heap = next(stale, None), []
 
     seeds: List[int] = []
     gains: List[float] = []
     round_index = 0
     lazy_evals = 0
     selected = np.zeros(hypergraph.num_nodes, dtype=bool)
-    while len(seeds) < k and heap:
-        neg_gain, stamp, node = heapq.heappop(heap)
+    while len(seeds) < k and (head is not None or heap):
+        if head is not None and (not heap or head < heap[0]):
+            neg_gain, stamp, node = head
+            head = next(stale, None)
+        else:
+            neg_gain, stamp, node = heapq.heappop(heap)
         if selected[node]:
             continue
         if stamp != round_index:
-            fresh = gain_of(node)
+            edges = node_edges[node_offsets[node] : node_offsets[node + 1]]
+            fresh = float(node_probs[node] * np.add.reduce(survival[edges]))  # as .sum()
             lazy_evals += 1
             heapq.heappush(heap, (-fresh, round_index, node))
             continue

@@ -329,20 +329,24 @@ class HypergraphObjective:
         if edges.size == 0:
             self._probs[node] = q_new
             return
-        zero_count = self._zero_count
-        nonzero_prod = self._nonzero_prod
-        old_survival = np.where(zero_count[edges] > 0, 0.0, nonzero_prod[edges])
-        old_factor = 1.0 - q_old
-        new_factor = 1.0 - q_new
-        if old_factor <= _ONE_TOLERANCE:
-            zero_count[edges] -= 1
+        # Incident edges are unique: gather once, update, scatter back once.
+        zero_count = self._zero_count[edges]
+        nonzero_prod = self._nonzero_prod[edges]
+        old_survival = np.where(zero_count > 0, 0.0, nonzero_prod)
+        old_zero = 1.0 - q_old <= _ONE_TOLERANCE
+        new_zero = 1.0 - q_new <= _ONE_TOLERANCE
+        if old_zero:
+            zero_count -= 1
         else:
-            nonzero_prod[edges] /= old_factor
-        if new_factor <= _ONE_TOLERANCE:
-            zero_count[edges] += 1
+            nonzero_prod /= 1.0 - q_old
+        if new_zero:
+            zero_count += 1
         else:
-            nonzero_prod[edges] *= new_factor
-        new_survival = np.where(zero_count[edges] > 0, 0.0, nonzero_prod[edges])
+            nonzero_prod *= 1.0 - q_new
+        if old_zero or new_zero:
+            self._zero_count[edges] = zero_count
+        self._nonzero_prod[edges] = nonzero_prod
+        new_survival = np.where(zero_count > 0, 0.0, nonzero_prod)
         # covered = theta - sum(survival): survival shrinking raises it.
         self._covered_sum += float(old_survival.sum()) - float(new_survival.sum())
         self._scan_stale = True
@@ -419,8 +423,8 @@ class HypergraphObjective:
 
         Every edge in ``edge_ids`` must actually contain all of ``nodes``.
         """
-        zero_counts = self._zero_count[edge_ids].copy()
-        base = self._nonzero_prod[edge_ids].copy()
+        zero_counts = self._zero_count[edge_ids]
+        base = self._nonzero_prod[edge_ids]
         for node in nodes:
             factor = 1.0 - float(self._probs[node])
             if factor <= _ONE_TOLERANCE:

@@ -133,3 +133,63 @@ class TestWeightedCascadeSpill:
         _, mmap = self._pair(directed=True)
         with pytest.raises(GraphError):
             assign_weighted_cascade(mmap, alpha=0.0)
+
+
+_CSR_ARRAYS = (
+    "out_offsets",
+    "out_targets",
+    "out_probs",
+    "in_offsets",
+    "in_sources",
+    "in_probs",
+)
+
+
+class TestWeightedCascadeOnePath:
+    """Heap and spill graphs take one path, equal to ``with_probabilities``."""
+
+    def _graph(self):
+        rng = np.random.default_rng(5)
+        sources = rng.integers(0, 40, size=300)
+        # Node 0 is never a target (in-degree 0); node 40 is isolated.
+        targets = rng.integers(1, 40, size=300)
+        edges = [(int(u), int(v)) for u, v in zip(sources, targets) if u != v]
+        return from_edges(edges, num_nodes=41)
+
+    def _spill_twin(self, graph):
+        from repro.graphs.digraph import DiGraph
+        from repro.utils.spill import spill_array
+
+        def spilled(array):
+            out = spill_array(array.shape, array.dtype)
+            out[:] = array
+            return out
+
+        return DiGraph.from_csr_pair(
+            graph.num_nodes,
+            *(spilled(getattr(graph, name)) for name in _CSR_ARRAYS),
+        )
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("alpha", [0.7, 1.0])
+    def test_heap_and_spill_equal_with_probabilities(self, monkeypatch, alpha, chunk):
+        from repro.graphs import weights
+        from repro.utils.spill import is_spill_backed
+
+        if chunk is not None:
+            monkeypatch.setattr(weights, "_CHUNK", chunk)
+        graph = self._graph()
+        assert graph.in_degree(0) == 0 and graph.out_degree(40) == 0
+        in_degrees = graph.in_degrees().astype(np.float64)
+        expected = graph.with_probabilities(alpha / in_degrees[graph.out_targets])
+        heap = assign_weighted_cascade(graph, alpha=alpha)
+        spill = assign_weighted_cascade(self._spill_twin(graph), alpha=alpha)
+        assert not is_spill_backed(heap.out_probs)
+        assert is_spill_backed(spill.out_probs) and is_spill_backed(spill.in_probs)
+        for result in (heap, spill):
+            for name in _CSR_ARRAYS:
+                got = np.asarray(getattr(result, name))
+                want = getattr(expected, name)
+                assert got.dtype == want.dtype, name
+                assert np.array_equal(got, want), name
+

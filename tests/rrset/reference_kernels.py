@@ -1,7 +1,7 @@
 """Pre-vectorization reference kernels, kept verbatim for regression use.
 
 This module preserves the original (pre-kernel-overhaul) implementations
-of the three RR-hypergraph hot paths:
+of the RR-hypergraph hot paths:
 
 * :class:`ReferenceObjective` — the Theorem-9 objective with a per-edge
   Python ``rebuild`` loop, an O(theta) full scan inside every ``value()``
@@ -9,6 +9,9 @@ of the three RR-hypergraph hot paths:
   whole-stream ``gradient()`` (member-stream-sized temporaries and one
   ``bincount``) that the blocked kernel replaced.
 * :func:`reference_coverage` — the Python-set ``deg_H(S)`` computation.
+* :func:`reference_weighted_max_coverage` — the CELF greedy that heapifies
+  a ``(-gain, -1, node)`` tuple for every positive-gain candidate, which
+  the sorted-stream-plus-heap merge in :mod:`repro.rrset.coverage` replaced.
 * :func:`reference_csr_build` — the per-edge CSR assignment loop of the
   original ``RRHypergraph.__init__``.
 
@@ -30,16 +33,24 @@ so op-count comparisons against the new kernels are apples to apples.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+import heapq
+from itertools import repeat
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import EstimationError
 from repro.obs.context import get_metrics
+from repro.rrset.coverage import CoverageResult
 from repro.rrset.estimator import PairCoefficients
 from repro.rrset.hypergraph import RRHypergraph
 
-__all__ = ["ReferenceObjective", "reference_coverage", "reference_csr_build"]
+__all__ = [
+    "ReferenceObjective",
+    "reference_coverage",
+    "reference_csr_build",
+    "reference_weighted_max_coverage",
+]
 
 _ONE_TOLERANCE = 1e-12
 _SAFE_DIVIDE_TOLERANCE = 1e-6
@@ -245,6 +256,73 @@ def reference_coverage(hypergraph: RRHypergraph, seeds: Sequence[int]) -> int:
     for node in seeds:
         covered.update(hypergraph.incident_edges(int(node)).tolist())
     return len(covered)
+
+
+def reference_weighted_max_coverage(
+    hypergraph: RRHypergraph,
+    node_probs: np.ndarray,
+    k: int,
+    candidates: np.ndarray | None = None,
+) -> CoverageResult:
+    """CELF with every positive-gain candidate heapified up front.
+
+    Input validation is left to the library function; callers pass
+    valid input.  Records the same ``coverage.*`` counters.
+    """
+    node_probs = np.asarray(node_probs, dtype=np.float64)
+    if candidates is None:
+        candidates = np.arange(hypergraph.num_nodes, dtype=np.int64)
+    else:
+        candidates = np.asarray(candidates, dtype=np.int64)
+    node_offsets = np.asarray(hypergraph.node_offsets)
+    node_edges = np.asarray(hypergraph.node_edges)
+    survival = np.ones(hypergraph.num_hyperedges, dtype=np.float64)
+
+    def gain_of(node: int) -> float:
+        edges = node_edges[node_offsets[node] : node_offsets[node + 1]]
+        if edges.size == 0:
+            return 0.0
+        return float(node_probs[node] * survival[edges].sum())
+
+    initial = node_probs[candidates] * hypergraph.degrees()[candidates]
+    positive = initial > 0.0
+    heap = list(
+        zip((-initial[positive]).tolist(), repeat(-1), candidates[positive].tolist())
+    )
+    heapq.heapify(heap)
+    seeded = len(heap)
+
+    seeds: List[int] = []
+    gains: List[float] = []
+    round_index = 0
+    lazy_evals = 0
+    selected = np.zeros(hypergraph.num_nodes, dtype=bool)
+    while len(seeds) < k and heap:
+        neg_gain, stamp, node = heapq.heappop(heap)
+        if selected[node]:
+            continue
+        if stamp != round_index:
+            fresh = gain_of(node)
+            lazy_evals += 1
+            heapq.heappush(heap, (-fresh, round_index, node))
+            continue
+        gain = -neg_gain
+        if gain <= 0.0:
+            break
+        seeds.append(node)
+        gains.append(gain)
+        selected[node] = True
+        edges = node_edges[node_offsets[node] : node_offsets[node + 1]]
+        survival[edges] *= 1.0 - node_probs[node]
+        round_index += 1
+
+    metrics = get_metrics()
+    metrics.inc("coverage.heap_seeded_total", seeded)
+    metrics.inc("coverage.lazy_evals_total", lazy_evals)
+    covered = float((1.0 - survival).sum())
+    theta = hypergraph.num_hyperedges
+    spread = hypergraph.num_nodes * covered / theta if theta else 0.0
+    return CoverageResult(seeds=seeds, gains=gains, covered=covered, spread_estimate=spread)
 
 
 def reference_csr_build(

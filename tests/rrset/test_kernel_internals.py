@@ -149,6 +149,35 @@ class TestReduceatRebuild:
         assert vec.value() == ref.value()
 
 
+class TestIncrementalUpdates:
+    def test_long_update_sequence_matches_reference_bitwise(self, random_instance):
+        # set_probability gathers each state array once and scatters it
+        # back once; the reference does fancy read-modify-writes.  Both
+        # state arrays must agree after every update, including moves
+        # into and out of the zero-factor band (1 - q <= 1e-12).
+        num_nodes, _, hypergraph = random_instance
+        rng = np.random.default_rng(17)
+        probs = rng.uniform(0.0, 1.0, size=num_nodes)
+        vec = HypergraphObjective(hypergraph, probs)
+        ref = ReferenceObjective(hypergraph, probs)
+        special = (0.0, 1.0, 1.0 - 1e-13, 1.0 - 1e-8, 0.5)
+        for step in range(3000):
+            node = int(rng.integers(num_nodes))
+            if rng.random() < 0.3:
+                q = special[int(rng.integers(len(special)))]
+            else:
+                q = float(rng.uniform(0.0, 1.0))
+            vec.set_probability(node, q)
+            ref.set_probability(node, q)
+            assert np.array_equal(vec._zero_count, ref._zero_count), step
+            assert np.array_equal(vec._nonzero_prod, ref._nonzero_prod), step
+        assert vec.value() == ref.value()
+        for i, j in ((0, 1), (2, 7), (5, 3)):
+            got, want = vec.pair_coefficients(i, j), ref.pair_coefficients(i, j)
+            for name in type(got).__slots__:
+                assert getattr(got, name) == getattr(want, name), name
+
+
 class TestPairTopologyCache:
     def test_splits_match_uncached_set_ops(self, random_instance):
         num_nodes, _, hypergraph = random_instance
