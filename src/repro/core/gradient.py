@@ -40,7 +40,6 @@ invariant like the rest of the pipeline.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -104,7 +103,6 @@ class GradientResult:
     fw_gap: Optional[float] = None
     #: ``sum_u c_u`` actually spent — may be < B (budget saving).
     budget_spent: float = 0.0
-    projection_seconds: float = 0.0
 
 
 def project_capped_simplex(x: np.ndarray, budget: float) -> np.ndarray:
@@ -440,7 +438,6 @@ def projected_gradient_ascent(
     steps_run = 0
     converged = False
     expired = False
-    projection_seconds = 0.0
     duality_gap = float("inf")
 
     def evaluate(c: np.ndarray) -> float:
@@ -450,14 +447,9 @@ def projected_gradient_ascent(
         return objective.value()
 
     def project(x: np.ndarray) -> np.ndarray:
-        nonlocal projection_seconds
-        start = time.perf_counter()
         if constraints is not None:
-            out = constraints.project(x)
-        else:
-            out = project_capped_simplex(x, budget)
-        projection_seconds += time.perf_counter() - start
-        return out
+            return constraints.project(x)
+        return project_capped_simplex(x, budget)
 
     with tracer.span(
         "solver.gradient",
@@ -551,7 +543,6 @@ def projected_gradient_ascent(
         metrics.inc("gradient.backtracks_total", backtracks)
         metrics.inc("gradient.objective_evals_total", objective_evals)
         metrics.inc("gradient.gradient_evals_total", gradient_evals)
-        metrics.observe("gradient.projection_seconds", projection_seconds)
         metrics.set_gauge("gradient.duality_gap", float(duality_gap))
         if expired:
             metrics.inc("gradient.deadline_expired_total")
@@ -570,7 +561,6 @@ def projected_gradient_ascent(
         deadline_expired=expired,
         duality_gap=float(duality_gap),
         budget_spent=float(discounts.sum()),
-        projection_seconds=projection_seconds,
     )
 
 
@@ -638,7 +628,6 @@ def frank_wolfe(
     steps_run = 0
     converged = False
     expired = False
-    lmo_seconds = 0.0
     duality_gap = float("inf")
     fw_gap = float("inf")
 
@@ -669,9 +658,7 @@ def frank_wolfe(
             gradient_evals += 1
             grad_c = grad_q * population.derivatives(discounts)
             duality_gap = _certified_gap(grad_q, chord, budget, upper)
-            start = time.perf_counter()
             vertex = fw_linear_maximizer(grad_c, budget, upper)
-            lmo_seconds += time.perf_counter() - start
             direction = vertex - discounts
             fw_gap = float(grad_c @ direction)
             if fw_gap <= tolerance or duality_gap <= tolerance:
@@ -741,7 +728,6 @@ def frank_wolfe(
         metrics.inc("gradient.backtracks_total", backtracks)
         metrics.inc("gradient.objective_evals_total", objective_evals)
         metrics.inc("gradient.gradient_evals_total", gradient_evals)
-        metrics.observe("gradient.projection_seconds", lmo_seconds)
         metrics.set_gauge("gradient.duality_gap", float(duality_gap))
         if expired:
             metrics.inc("gradient.deadline_expired_total")
@@ -761,5 +747,4 @@ def frank_wolfe(
         duality_gap=float(duality_gap),
         fw_gap=float(fw_gap),
         budget_spent=float(discounts.sum()),
-        projection_seconds=lmo_seconds,
     )

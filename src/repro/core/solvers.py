@@ -42,14 +42,14 @@ from repro.core.problem import CIMProblem
 from repro.core.unified_discount import unified_discount
 from repro.discrete.heuristics import degree_seeds
 from repro.exceptions import PartialResultWarning, SolverError
-from repro.obs.context import get_tracer, observe
+from repro.obs.context import observe, recording
 from repro.obs.metrics import MetricsRegistry
 from repro.rrset.coverage import max_coverage
 from repro.rrset.hypergraph import RRHypergraph
 from repro.rrset.sample_size import default_num_rr_sets
 from repro.runtime.deadline import Deadline, DeadlineLike, as_deadline
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.timing import TimingBreakdown
+from repro.utils.timing import TimingBreakdown, span_timings
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.constraints import ConstraintLike, ResolvedConstraints
@@ -596,14 +596,16 @@ def solve(
         return resolved
 
     resolved_constraints: Optional["ResolvedConstraints"] = None
-    timings = TimingBreakdown()
+    sampled = hypergraph is None
     adaptive_result = None
     hypergraph_truncated = False
     # Metrics for this call land in a private registry so the
     # extras["metrics"] snapshot depends only on this run, then merge
     # into whatever registry the caller installed (see repro.obs).
     run_metrics = MetricsRegistry()
-    with observe(metrics=run_metrics), get_tracer().span("solve", method=method) as span:
+    with recording() as tracer, observe(metrics=run_metrics), tracer.span(
+        "solve", method=method
+    ) as span:
         if hypergraph is None and num_hyperedges == "auto":
             from repro.rrset.adaptive import adaptive_hypergraph
 
@@ -616,20 +618,19 @@ def solve(
             # so TopKAccess binds against the weighted out-degree proxy
             # here (deterministic, hyper-graph-free).
             resolved_constraints = resolve(None)
-            with timings.phase("hypergraph"):
-                adaptive_options.setdefault("storage", storage)
-                adaptive_options.setdefault("slab_dir", slab_dir)
-                adaptive_options.setdefault("backing", backing)
-                adaptive_options.setdefault("spill_dir", spill_dir)
-                adaptive_result = adaptive_hypergraph(
-                    problem,
-                    seed=seed,
-                    deadline=run_budget,
-                    workers=workers,
-                    supervision=supervision,
-                    constraints=resolved_constraints,
-                    **adaptive_options,
-                )
+            adaptive_options.setdefault("storage", storage)
+            adaptive_options.setdefault("slab_dir", slab_dir)
+            adaptive_options.setdefault("backing", backing)
+            adaptive_options.setdefault("spill_dir", spill_dir)
+            adaptive_result = adaptive_hypergraph(
+                problem,
+                seed=seed,
+                deadline=run_budget,
+                workers=workers,
+                supervision=supervision,
+                constraints=resolved_constraints,
+                **adaptive_options,
+            )
             hypergraph = adaptive_result.hypergraph
             hypergraph_truncated = adaptive_result.stop_reason in (
                 "deadline",
@@ -641,18 +642,17 @@ def solve(
                 if num_hyperedges is not None
                 else default_num_rr_sets(problem.num_nodes)
             )
-            with timings.phase("hypergraph"):
-                hypergraph = problem.build_hypergraph(
-                    num_hyperedges=requested,
-                    seed=seed,
-                    deadline=run_budget,
-                    workers=workers,
-                    supervision=supervision,
-                    storage=storage,
-                    slab_dir=slab_dir,
-                    backing=backing,
-                    spill_dir=spill_dir,
-                )
+            hypergraph = problem.build_hypergraph(
+                num_hyperedges=requested,
+                seed=seed,
+                deadline=run_budget,
+                workers=workers,
+                supervision=supervision,
+                storage=storage,
+                slab_dir=slab_dir,
+                backing=backing,
+                spill_dir=spill_dir,
+            )
             hypergraph_truncated = hypergraph.num_hyperedges < requested
         else:
             run_metrics.inc("solver.hypergraph_reuse_total")
@@ -666,22 +666,21 @@ def solve(
             resolved_constraints = resolve(hypergraph)
         if resolved_constraints is not None and entry.supports_constraints:
             options["constraints"] = resolved_constraints
-        with timings.phase(method):
-            if (
-                adaptive_result is not None
-                and adaptive_options.get("method", "cd") == method
-            ):
-                # The driver already alternated UD warm-start with this
-                # method's descent at every doubling — its incumbent IS the
-                # solution on the final hyper-graph; re-running would
-                # duplicate the work.
-                configuration = adaptive_result.configuration
-                extras = {"warm_start": "ud"}
-                if adaptive_result.cd_result is not None:
-                    extras.update(entry.extras(adaptive_result.cd_result))
-                extras["deadline_expired"] = adaptive_result.stop_reason == "deadline"
-            else:
-                configuration, extras = solver(problem, hypergraph, seed, options)
+        if (
+            adaptive_result is not None
+            and adaptive_options.get("method", "cd") == method
+        ):
+            # The driver already alternated UD warm-start with this
+            # method's descent at every doubling — its incumbent IS the
+            # solution on the final hyper-graph; re-running would
+            # duplicate the work.
+            configuration = adaptive_result.configuration
+            extras = {"warm_start": "ud"}
+            if adaptive_result.cd_result is not None:
+                extras.update(entry.extras(adaptive_result.cd_result))
+            extras["deadline_expired"] = adaptive_result.stop_reason == "deadline"
+        else:
+            configuration, extras = solver(problem, hypergraph, seed, options)
         if resolved_constraints is not None and not entry.supports_constraints:
             # Constraint-unaware strategy: enforce feasibility by
             # projecting its output onto the feasible set.
@@ -729,6 +728,6 @@ def solve(
         method=method,
         configuration=configuration,
         spread_estimate=estimate,
-        timings=timings,
+        timings=span_timings(span, method, sampled),
         extras=extras,
     )

@@ -14,11 +14,12 @@ from typing import List, Optional
 
 from repro.diffusion.base import DiffusionModel
 from repro.exceptions import SolverError
+from repro.obs.context import recording
 from repro.rrset.coverage import max_coverage
 from repro.rrset.hypergraph import RRHypergraph
 from repro.rrset.sample_size import approximation_lower_bound, default_num_rr_sets
 from repro.utils.rng import SeedLike
-from repro.utils.timing import TimingBreakdown
+from repro.utils.timing import TimingBreakdown, span_timings
 
 __all__ = ["RISResult", "ris_influence_maximization"]
 
@@ -66,12 +67,11 @@ def ris_influence_maximization(
     """
     if k < 0:
         raise SolverError(f"k must be non-negative, got {k}")
-    timings = TimingBreakdown()
-    if hypergraph is None:
-        theta = num_hyperedges if num_hyperedges is not None else default_num_rr_sets(model.num_nodes)
-        with timings.phase("hypergraph"):
+    sampled = hypergraph is None
+    with recording() as tracer, tracer.span("discrete.ris", k=k) as span:
+        if sampled:
+            theta = num_hyperedges if num_hyperedges is not None else default_num_rr_sets(model.num_nodes)
             hypergraph = RRHypergraph.build(model, theta, seed=seed)
-    with timings.phase("selection"):
         result = max_coverage(hypergraph, k)
     bound = (
         approximation_lower_bound(
@@ -85,6 +85,6 @@ def ris_influence_maximization(
         spread_estimate=result.spread_estimate,
         approximation_bound=bound,
         num_hyperedges=hypergraph.num_hyperedges,
-        timings=timings,
+        timings=span_timings(span, "selection", sampled),
         hypergraph=hypergraph,
     )

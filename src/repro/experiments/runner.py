@@ -31,7 +31,7 @@ from repro.core.solvers import solve
 from repro.diffusion.independent_cascade import IndependentCascade
 from repro.exceptions import CheckpointError, ConfigurationError, GraphError
 from repro.experiments.datasets import load_dataset
-from repro.obs.context import get_metrics, get_tracer
+from repro.obs.context import get_metrics, recording
 from repro.rrset.hypergraph import RRHypergraph
 from repro.rrset.sample_size import default_num_rr_sets
 from repro.runtime.checkpoint import CheckpointStore, content_key
@@ -247,7 +247,7 @@ def run_methods(
     hypergraph_rng = streams[0]
 
     metrics = get_metrics()
-    with get_tracer().span(
+    with recording() as tracer, tracer.span(
         "experiment.run_methods", methods=list(methods), cells=len(methods)
     ) as span:
         results: List[ExperimentResult] = [None] * len(methods)  # type: ignore[list-item]
@@ -279,10 +279,7 @@ def run_methods(
         if not pending:
             return results
 
-        hypergraph_ms = 0.0
         if hypergraph is None:
-            import time
-
             if store is not None and resume:
                 arrays = store.salvage_arrays("hypergraph")
                 if arrays is not None:
@@ -295,7 +292,6 @@ def run_methods(
                         span.set(hypergraph_resumed=True)
                         metrics.inc("checkpoint.hypergraph_hits_total")
             if hypergraph is None:
-                start = time.perf_counter()
                 hypergraph = problem.build_hypergraph(
                     num_hyperedges=num_hyperedges,
                     seed=hypergraph_rng,
@@ -303,9 +299,10 @@ def run_methods(
                     workers=workers,
                     supervision=supervision,
                 )
-                hypergraph_ms = (time.perf_counter() - start) * 1000.0
                 if store is not None:
                     store.save_arrays("hypergraph", **hypergraph.to_arrays())
+        # Zero for a prebuilt or resumed hyper-graph: nothing was built.
+        hypergraph_ms = span.seconds("hypergraph.build") * 1000.0
 
         options_by_method = solver_options or {}
         for index in pending:

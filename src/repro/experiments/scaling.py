@@ -6,12 +6,11 @@ dominates total running time, so the overhead of UD / CD relative to
 discrete IM shrinks — from ~10x on wiki-Vote down to ~1.5x on
 com-LiveJournal.  The paper shows four data points (its datasets); this
 harness sweeps the analogue generator across scales and measures the same
-decomposition on a regular grid.
+decomposition on a regular grid, read from the spans of each scale's run.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -21,6 +20,7 @@ from repro.core.problem import CIMProblem
 from repro.core.unified_discount import unified_discount
 from repro.diffusion.independent_cascade import IndependentCascade
 from repro.experiments.datasets import load_dataset
+from repro.obs.context import recording
 from repro.rrset.coverage import max_coverage
 from repro.utils.rng import SeedLike
 
@@ -77,6 +77,8 @@ def scaling_study(
     with the network, as in the paper's setup.  ``pair_strategy`` defaults
     to the gradient heuristic so CD's cost reflects the efficient variant;
     pass ``"cyclic"`` for the paper's exhaustive sweep.
+
+    Build, IM and UD are their spans; CD (set-up and descent) is the rest.
     """
     rows: List[ScalingRow] = []
     for scale in scales:
@@ -84,23 +86,19 @@ def scaling_study(
         population = paper_mixture(graph.num_nodes, seed=seed)
         problem = CIMProblem(IndependentCascade(graph), population, budget=budget)
 
-        start = time.perf_counter()
-        hypergraph = problem.build_hypergraph(num_hyperedges=num_hyperedges, seed=seed)
-        build_ms = (time.perf_counter() - start) * 1000.0
-
-        start = time.perf_counter()
-        max_coverage(hypergraph, int(budget))
-        im_ms = (time.perf_counter() - start) * 1000.0
-
-        start = time.perf_counter()
-        ud = unified_discount(problem, hypergraph)
-        ud_ms = (time.perf_counter() - start) * 1000.0
-
-        start = time.perf_counter()
-        coordinate_descent_hypergraph(
-            problem, hypergraph, ud.configuration, pair_strategy=pair_strategy
+        with recording() as tracer, tracer.span("experiment.scaling") as span:
+            hypergraph = problem.build_hypergraph(num_hyperedges=num_hyperedges, seed=seed)
+            with tracer.span("experiment.im"):
+                max_coverage(hypergraph, int(budget))
+            ud = unified_discount(problem, hypergraph)
+            coordinate_descent_hypergraph(
+                problem, hypergraph, ud.configuration, pair_strategy=pair_strategy
+            )
+        build_ms, im_ms, ud_ms = (
+            span.seconds(name) * 1000.0
+            for name in ("hypergraph.build", "experiment.im", "solver.ud")
         )
-        cd_ms = (time.perf_counter() - start) * 1000.0
+        cd_ms = span.duration * 1000.0 - build_ms - im_ms - ud_ms
 
         row = ScalingRow(
             scale=float(scale),

@@ -14,6 +14,7 @@ from repro.obs.context import (
     get_metrics,
     get_tracer,
     observe,
+    recording,
 )
 from repro.obs.metrics import (
     NULL_METRICS,
@@ -43,6 +44,7 @@ __all__ = [
     "get_tracer",
     "get_metrics",
     "observe",
+    "recording",
     "TRACE_ENV_VAR",
     "METRICS_ENV_VAR",
 ]

@@ -48,6 +48,7 @@ __all__ = [
     "get_tracer",
     "get_metrics",
     "observe",
+    "recording",
     "TRACE_ENV_VAR",
     "METRICS_ENV_VAR",
 ]
@@ -109,6 +110,21 @@ def observe(
         _CURRENT = previous
         if metrics is not None and merge_up:
             previous.metrics.merge(metrics)
+
+
+@contextmanager
+def recording() -> Iterator[Tracer]:
+    """Yield a tracer that records spans for the duration of a block.
+
+    Spans are the one clock: code times a block by a span it opens on the
+    yielded tracer.  That is the ambient tracer when it records, so no span
+    lands twice; under :data:`NULL_TRACER`, a private one for the block.
+    """
+    if not isinstance(_CURRENT.tracer, NullTracer):
+        yield _CURRENT.tracer
+        return
+    with observe(tracer=Tracer()) as context:
+        yield context.tracer
 
 
 _BOOTSTRAPPED = False

@@ -14,8 +14,7 @@ flat dotted name (taxonomy in ``docs/observability.md``):
 
 Everything recorded is *content*, never wall-clock time, so for a fixed
 seed a registry snapshot is bit-identical at every worker count —
-timings belong to spans (:mod:`repro.obs.tracer`) and
-:class:`~repro.utils.timing.TimingBreakdown`.
+timings belong to spans (:mod:`repro.obs.tracer`).
 
 Registries nest: ``solve`` records into a fresh registry so its
 ``extras["metrics"]`` snapshot is independent of history, then

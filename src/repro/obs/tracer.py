@@ -98,6 +98,12 @@ class Span:
     def duration(self) -> float:
         return max(0.0, self.end - self.start)
 
+    def seconds(self, *names: str) -> float:
+        """Summed duration of the outermost subtree spans named ``names``."""
+        if self.name in names:
+            return self.duration
+        return sum((child.seconds(*names) for child in self.children), 0.0)
+
     def canonical(self) -> Dict[str, Any]:
         """Deterministic view: name, attrs, events, error, children —
         no timings, no runtime notes."""

@@ -64,8 +64,8 @@ import json
 import os
 import platform
 import sys
-import time
-from typing import Dict, List, Optional, Sequence, Union
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -76,8 +76,9 @@ from repro.core.problem import CIMProblem
 from repro.diffusion.independent_cascade import IndependentCascade
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weights import assign_weighted_cascade
-from repro.obs.context import observe
+from repro.obs.context import observe, recording
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import Span
 from repro.rrset.hypergraph import RRHypergraph, csr_offsets
 from repro.rrset.sampler import sample_rr_sets
 
@@ -162,15 +163,22 @@ def _format_checks(summary: Dict) -> List[str]:
     return lines
 
 
+@contextmanager
+def _timed(name: str) -> Iterator[Span]:
+    """A recording ``bench.<name>`` span; its ``duration`` times the block."""
+    with recording() as tracer, tracer.span(f"bench.{name}") as span:
+        yield span
+
+
 def _best_of(repeats: int, fn) -> tuple:
     """Run ``fn`` ``repeats`` times; return (min seconds, last result)."""
     best = float("inf")
     result = None
     for _ in range(max(1, repeats)):
         result = None  # free the previous run's result before the next
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
+        with _timed("repeat") as span:
+            result = fn()
+        best = min(best, span.duration)
     return best, result
 
 
@@ -253,20 +261,19 @@ def run_adaptive_benchmark(
     problem = CIMProblem(IndependentCascade(graph), population, budget=budget)
 
     # -- fixed-θ baseline: one-shot sampling, UD warm start, cyclic CD --
-    start = time.perf_counter()
-    rr_list = sample_rr_sets(problem.model, rr_sets, seed=seed + 2, workers=1)
-    hypergraph = RRHypergraph(nodes, rr_list)
-    ud = unified_discount(problem, hypergraph)
-    fixed_cd = coordinate_descent_hypergraph(
-        problem, hypergraph, ud.configuration, max_rounds=max_rounds
-    )
-    fixed_seconds = time.perf_counter() - start
+    with _timed("fixed") as span:
+        rr_list = sample_rr_sets(problem.model, rr_sets, seed=seed + 2, workers=1)
+        hypergraph = RRHypergraph(nodes, rr_list)
+        ud = unified_discount(problem, hypergraph)
+        fixed_cd = coordinate_descent_hypergraph(
+            problem, hypergraph, ud.configuration, max_rounds=max_rounds
+        )
+    fixed_seconds = span.duration
     fixed_value = float(fixed_cd.objective_value)
 
     # -- adaptive driver, op-counted ------------------------------------
     registry = MetricsRegistry()
-    with observe(metrics=registry):
-        start = time.perf_counter()
+    with observe(metrics=registry), _timed("adaptive") as span:
         adaptive = adaptive_hypergraph(
             problem,
             seed=seed + 2,
@@ -275,7 +282,7 @@ def run_adaptive_benchmark(
             options={"max_rounds": max_rounds},
             workers=1,
         )
-        adaptive_seconds = time.perf_counter() - start
+    adaptive_seconds = span.duration
     counters = registry.snapshot()["counters"]
     op_counts = {key: counters.get(key, 0) for key in _ADAPTIVE_COUNTER_KEYS}
 
@@ -410,13 +417,11 @@ def run_solver_benchmark(
 
     def run_row(name: str, fn) -> object:
         registry = MetricsRegistry()
-        with observe(metrics=registry):
-            start = time.perf_counter()
+        with observe(metrics=registry), _timed("solver") as span:
             result = fn()
-            seconds = time.perf_counter() - start
         counters = registry.snapshot()["counters"]
         rows[name] = {
-            "seconds": seconds,
+            "seconds": span.duration,
             "objective_evals": int(counters.get(_SOLVER_EVAL_COUNTERS[name], 0)),
         }
         return result
@@ -700,10 +705,10 @@ def run_scale_benchmark(
     backing_mode = resolve_backing(backing)
     generator = getattr(generators, graph)
 
-    start = time.perf_counter()
-    base = generator(scale=graph_scale, seed=seed, backing=backing_mode, spill_dir=spill_dir)
-    weighted = assign_weighted_cascade(base, alpha=1.0)
-    graph_seconds = time.perf_counter() - start
+    with _timed("graph") as span:
+        base = generator(scale=graph_scale, seed=seed, backing=backing_mode, spill_dir=spill_dir)
+        weighted = assign_weighted_cascade(base, alpha=1.0)
+    graph_seconds = span.duration
     nodes = weighted.num_nodes
     population = paper_mixture(nodes, seed=seed + 1)
     problem = CIMProblem(IndependentCascade(weighted), population, budget=budget)
@@ -779,13 +784,11 @@ def run_scale_benchmark(
     def build(sizes: np.ndarray, members: np.ndarray) -> RRHypergraph:
         return RRHypergraph.from_csr(nodes, csr_offsets(sizes), members)
 
-    start = time.perf_counter()
-    hg_shared = build(shared_sizes, shared_members)
-    hypergraph_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
+    with _timed("index") as span:
+        hg_shared = build(shared_sizes, shared_members)
+    hypergraph_seconds = span.duration
     result_shared = solve(problem, "ud", hypergraph=hg_shared, seed=seed + 3)
-    solve_seconds = time.perf_counter() - start
+    solve_seconds = result_shared.timings.total
 
     # Snapshot the high-water mark *now*: everything above ran on the
     # selected backing, everything below deliberately goes to the heap.
@@ -793,12 +796,11 @@ def run_scale_benchmark(
 
     # -- heap baseline: members pickled back through the pool -----------
     registry = MetricsRegistry()
-    with observe(metrics=registry):
-        start = time.perf_counter()
+    with observe(metrics=registry), _timed("heap_sample") as span:
         heap_sizes, heap_members = sample_rr_csr(
             problem.model, rr_sets, seed=seed + 2, workers=max_workers, storage="heap"
         )
-        heap_seconds = time.perf_counter() - start
+    heap_seconds = span.duration
     heap_counters = registry.snapshot()["counters"]
     heap_pickled = int(heap_counters.get("storage.pickled_bytes_total", 0))
     heap_row = {

@@ -368,7 +368,8 @@ class RRHypergraph:
         so callers must not mutate them afterwards.
         """
         self = cls.__new__(cls)
-        self._init_from_csr(int(num_nodes), edge_offsets, edge_nodes)
+        with get_tracer().span("hypergraph.index"):
+            self._init_from_csr(int(num_nodes), edge_offsets, edge_nodes)
         return self
 
     # ------------------------------------------------------------------

@@ -12,6 +12,8 @@ from repro.diffusion.independent_cascade import IndependentCascade
 from repro.exceptions import SolverError
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weights import assign_weighted_cascade
+from repro.obs.context import get_tracer, observe
+from repro.obs.tracer import NULL_TRACER, Tracer
 
 
 class TestRegistry:
@@ -104,6 +106,76 @@ class TestHypergraphHandling:
     def test_method_phase_timed(self, medium_problem, medium_hypergraph):
         result = solve(medium_problem, "cd", hypergraph=medium_hypergraph)
         assert result.timings.phases["cd"] > 0.0
+
+
+def _outermost(span, names):
+    """The outermost spans named in ``names``, depth-first."""
+    if span.name in names:
+        return [span]
+    return [hit for child in span.children for hit in _outermost(child, names)]
+
+
+def _seconds(span, *names):
+    return sum(hit.duration for hit in _outermost(span, names))
+
+
+class TestTimingsFromSpans:
+    """``SolveResult.timings`` is Figure 6's split of the call's spans."""
+
+    def _traced(self, problem, method, **kwargs):
+        tracer = Tracer()
+        with observe(tracer=tracer):
+            result = solve(problem, method, **kwargs)
+        (root,) = tracer.roots
+        return result, root
+
+    def test_adaptive_split(self, medium_problem):
+        result, root = self._traced(
+            medium_problem,
+            "cd",
+            num_hyperedges="auto",
+            seed=4,
+            adaptive={"max_theta": 1024, "epsilon": 1e-9, "stability_window": 0},
+        )
+        assert len(result.extras["adaptive"]["stages"]) >= 2
+        phases = result.timings.phases
+        assert phases["cd"] >= _seconds(root, "solver.ud", "solver.cd") > 0.0
+        build = ("rrset.sample", "hypergraph.extend", "hypergraph.index")
+        assert phases["hypergraph"] == _seconds(root, "hypergraph.build", *build)
+        # The first instalment's index build is booked to the build.
+        assert [s.name for s in _outermost(root, build)][:4] == [
+            "rrset.sample",
+            "hypergraph.index",
+            "rrset.sample",
+            "hypergraph.extend",
+        ]
+        assert result.timings.total == pytest.approx(root.duration, abs=1e-9)
+
+    def test_fixed_theta_build_is_the_build_span(self, medium_problem):
+        result, root = self._traced(medium_problem, "ud", num_hyperedges=500, seed=3)
+        (build,) = _outermost(root, ("hypergraph.build",))
+        assert result.timings.phases["hypergraph"] == build.duration
+        assert list(result.timings.phases) == ["hypergraph", "ud"]
+
+    def test_null_context(self, medium_problem, medium_hypergraph):
+        with observe(tracer=NULL_TRACER):
+            built = solve(medium_problem, "ud", num_hyperedges=500, seed=3)
+            reused = solve(medium_problem, "ud", hypergraph=medium_hypergraph)
+            assert get_tracer() is NULL_TRACER
+        assert built.timings.phases["hypergraph"] > 0.0
+        assert built.timings.phases["ud"] > 0.0
+        assert list(reused.timings.phases) == ["ud"]
+        assert reused.timings.phases["ud"] > 0.0
+
+    def test_one_root_under_a_caller_tracer(self, medium_problem):
+        forests = []
+        for workers in (1, 2):
+            tracer = Tracer()
+            with observe(tracer=tracer):
+                solve(medium_problem, "cd", num_hyperedges=500, seed=3, workers=workers)
+            assert [root.name for root in tracer.roots] == ["solve"]
+            forests.append(tracer.canonical())
+        assert forests[0] == forests[1]
 
 
 class TestBudgetEdgeCases:

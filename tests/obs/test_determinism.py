@@ -126,7 +126,7 @@ class TestTransportTelemetry:
 
 
 class TestSolveTelemetry:
-    @pytest.mark.parametrize("method", ["ud", "degree"])
+    @pytest.mark.parametrize("method", ["ud", "degree", "cd", "gradient", "fw"])
     def test_extras_metrics_identical_across_worker_counts(self, obs_problem, method):
         reference = None
         for workers in WORKER_COUNTS:

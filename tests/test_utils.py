@@ -1,13 +1,12 @@
 """Unit tests for the shared utility layer."""
 
-import time
-
 import numpy as np
 import pytest
 
 from repro.utils.rng import as_generator, spawn_generators
 from repro.utils.stats import RunningStat, mean_confidence_interval
-from repro.utils.timing import TimingBreakdown
+from repro.obs.tracer import Tracer
+from repro.utils.timing import TimingBreakdown, span_timings
 
 
 class TestRng:
@@ -93,36 +92,26 @@ class TestRunningStat:
 
 
 class TestTiming:
-    def test_breakdown_phases(self):
-        breakdown = TimingBreakdown()
-        with breakdown.phase("build"):
-            time.sleep(0.005)
-        with breakdown.phase("solve"):
-            time.sleep(0.005)
-        with breakdown.phase("build"):  # accumulates
-            time.sleep(0.005)
-        assert breakdown.phases["build"] > breakdown.phases["solve"]
-        assert breakdown.total == pytest.approx(
-            breakdown.phases["build"] + breakdown.phases["solve"]
-        )
-
-    def test_breakdown_merge(self):
-        a = TimingBreakdown({"x": 1.0})
-        b = TimingBreakdown({"x": 2.0, "y": 3.0})
-        merged = a.merge(b)
-        assert merged.phases == {"x": 3.0, "y": 3.0}
-        assert a.phases == {"x": 1.0}  # originals untouched
-
     def test_as_millis(self):
         breakdown = TimingBreakdown({"x": 0.5})
         assert breakdown.as_millis() == {"x": 500.0}
 
-    def test_phase_records_on_exception(self):
-        breakdown = TimingBreakdown()
-        with pytest.raises(ValueError):
-            with breakdown.phase("failing"):
-                raise ValueError("boom")
-        assert "failing" in breakdown.phases
+    def test_span_timings_split(self):
+        """Outermost build spans are the build, the rest is the phase."""
+        ticks = iter(range(100))
+        tracer = Tracer(clock=lambda: float(next(ticks)))
+        with tracer.span("call") as root:  # 0 .. 9
+            with tracer.span("hypergraph.build"):  # 1 .. 4
+                with tracer.span("rrset.sample"):  # 2 .. 3, inside a build
+                    pass
+            with tracer.span("solver.ud"):  # 5 .. 6
+                pass
+            with tracer.span("hypergraph.extend"):  # 7 .. 8
+                pass
+        timings = span_timings(root, "cd", sampled=True)
+        assert timings.phases == {"hypergraph": 4.0, "cd": 5.0}
+        assert timings.total == root.duration == 9.0
+        assert span_timings(root, "cd", sampled=False).phases == {"cd": 5.0}
 
 
 class TestRunningStatValidation:
