@@ -11,13 +11,12 @@ within a percent of each other.
 
 from __future__ import annotations
 
-import time
-
 from conftest import DATASET, SCALE, SEED, THETA, run_once
 
 from repro.core.greedy_allocation import greedy_allocation
 from repro.core.solvers import solve
 from repro.experiments.runner import build_problem
+from repro.rrset.bench import _best_of
 
 BUDGETS = (5, 10, 20)
 
@@ -28,19 +27,18 @@ def test_ablation_greedy_vs_cd(benchmark):
         for budget in BUDGETS:
             problem = build_problem(DATASET, budget=float(budget), scale=SCALE, seed=SEED)
             hypergraph = problem.build_hypergraph(num_hyperedges=THETA, seed=SEED)
-            start = time.perf_counter()
-            greedy = greedy_allocation(problem, hypergraph, delta=0.05)
-            greedy_seconds = time.perf_counter() - start
-            start = time.perf_counter()
-            cd = solve(problem, "cd", hypergraph=hypergraph, seed=SEED)
-            cd_seconds = time.perf_counter() - start
+            greedy, cd = _best_of(
+                1,
+                lambda: greedy_allocation(problem, hypergraph, delta=0.05),
+                lambda: solve(problem, "cd", hypergraph=hypergraph, seed=SEED),
+            )
             rows.append(
                 {
                     "budget": budget,
-                    "greedy": greedy.objective_value,
-                    "greedy_s": greedy_seconds,
-                    "cd": cd.spread_estimate,
-                    "cd_s": cd_seconds,
+                    "greedy": greedy.result.objective_value,
+                    "greedy_s": greedy.seconds,
+                    "cd": cd.result.spread_estimate,
+                    "cd_s": cd.seconds,
                 }
             )
         return rows

@@ -7,13 +7,15 @@ implementations (``tests/rrset/reference_kernels.py``, passed to CD as
 its ``objective``), asserts that the two produce bit-identical outputs,
 audits the op-count metrics (the per-pair path must perform zero full
 O(theta) scans), and writes ``BENCH_cd.json`` (schema documented in
-``docs/performance.md``).  This file is the one producer of the kernel
+``docs/performance.md``) through the report envelope of
+:mod:`repro.rrset.bench`.  This file is the one producer of the kernel
 report; ``python -m repro.rrset.bench --solvers`` merges the solver
 matrix into it afterwards.
 
-Each full CD run alternates the two kernels over the ``repeats`` rounds
-and reports the best time of each beside all of them, so host load
-cannot flip the speedup the way a single timed run did.  The >=3x
+Every kernel pair runs through the harness's ``_best_of``, which
+alternates the two kernels over the ``repeats`` rounds; each row reports
+the best time of each kernel (the full CD rows beside every run's time),
+so host load falls on both alike.  The >=3x
 full-CD speedup acceptance bar applies in full mode only; the
 smoke shape still runs every cross-check — the identity and op-count
 assertions are scale-independent, which is what makes this file a useful
@@ -35,9 +37,7 @@ from __future__ import annotations
 
 import itertools
 import os
-import platform
-import time
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 from conftest import run_once
@@ -47,15 +47,15 @@ from repro.core.configuration import Configuration
 from repro.core.problem import CIMProblem
 from repro.obs.context import observe
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel.bench import _digest_rr
 from repro.rrset.bench import (
     FULL,
     SCHEMA,
     SEED,
     SMOKE,
     _best_of,
+    _digest_rr,
     _format_checks,
-    _summary,
+    _report,
     build_cd_workload,
     write_report,
 )
@@ -84,6 +84,16 @@ _COUNTER_KEYS = (
 )
 
 
+def _race(repeats: int, reference: Callable, vectorized: Callable) -> tuple:
+    """Both kernels timed round-robin: their report row and last results."""
+    ref, vec = _best_of(repeats, reference, vectorized)
+    row = {
+        "reference_seconds": ref.seconds,
+        "vectorized_seconds": vec.seconds,
+        "speedup": ref.seconds / vec.seconds,
+    }
+    return row, ref, vec
+
 
 def _time_micro_kernels(
     repeats: int,
@@ -97,43 +107,36 @@ def _time_micro_kernels(
     results: Dict[str, Dict] = {}
 
     # -- CSR build ----------------------------------------------------
-    ref_seconds, ref_csr = _best_of(repeats, lambda: reference_csr_build(nodes, rr_list))
-    vec_seconds, vec_hg = _best_of(repeats, lambda: RRHypergraph(nodes, rr_list))
-    results["csr_build"] = {
-        "reference_seconds": ref_seconds,
-        "vectorized_seconds": vec_seconds,
-        "speedup": ref_seconds / vec_seconds,
-        "identical": bool(
-            np.array_equal(ref_csr[0], vec_hg.edge_offsets)
-            and np.array_equal(ref_csr[1], vec_hg.edge_nodes)
-        ),
-    }
+    row, ref, vec = _race(
+        repeats,
+        lambda: reference_csr_build(nodes, rr_list),
+        lambda: RRHypergraph(nodes, rr_list),
+    )
+    row["identical"] = bool(
+        np.array_equal(ref.result[0], vec.result.edge_offsets)
+        and np.array_equal(ref.result[1], vec.result.edge_nodes)
+    )
+    results["csr_build"] = row
 
     # -- coverage -----------------------------------------------------
     seeds = coords[: min(10, coords.size)]
-    ref_seconds, ref_cov = _best_of(repeats, lambda: reference_coverage(hypergraph, seeds))
-    vec_seconds, vec_cov = _best_of(repeats, lambda: hypergraph.coverage(seeds))
-    results["coverage"] = {
-        "reference_seconds": ref_seconds,
-        "vectorized_seconds": vec_seconds,
-        "speedup": ref_seconds / vec_seconds,
-        "identical": ref_cov == vec_cov,
-    }
+    row, ref, vec = _race(
+        repeats,
+        lambda: reference_coverage(hypergraph, seeds),
+        lambda: hypergraph.coverage(seeds),
+    )
+    row["identical"] = ref.result == vec.result
+    results["coverage"] = row
 
     # -- objective rebuild -------------------------------------------
     ref_obj = ReferenceObjective(hypergraph, probs)
     vec_obj = HypergraphObjective(hypergraph, probs)
-    ref_seconds, _ = _best_of(repeats, ref_obj.rebuild)
-    vec_seconds, _ = _best_of(repeats, vec_obj.rebuild)
-    results["rebuild"] = {
-        "reference_seconds": ref_seconds,
-        "vectorized_seconds": vec_seconds,
-        "speedup": ref_seconds / vec_seconds,
-        "identical": bool(
-            np.array_equal(ref_obj._zero_count, vec_obj._zero_count)
-            and np.array_equal(ref_obj._nonzero_prod, vec_obj._nonzero_prod)
-        ),
-    }
+    row, _, _ = _race(repeats, ref_obj.rebuild, vec_obj.rebuild)
+    row["identical"] = bool(
+        np.array_equal(ref_obj._zero_count, vec_obj._zero_count)
+        and np.array_equal(ref_obj._nonzero_prod, vec_obj._nonzero_prod)
+    )
+    results["rebuild"] = row
 
     # -- pair step ----------------------------------------------------
     # Steady-state cyclic-CD cost: every pair of the support, revisited
@@ -145,8 +148,7 @@ def _time_micro_kernels(
         for i, j in pairs:
             objective.pair_coefficients(i, j)
 
-    ref_seconds, _ = _best_of(repeats, lambda: sweep(ref_obj))
-    vec_seconds, _ = _best_of(repeats, lambda: sweep(vec_obj))
+    row, _, _ = _race(repeats, lambda: sweep(ref_obj), lambda: sweep(vec_obj))
     coeffs_identical = True
     for i, j in pairs[:16]:
         a = ref_obj.pair_coefficients(i, j)
@@ -154,13 +156,8 @@ def _time_micro_kernels(
         coeffs_identical &= all(
             getattr(a, slot) == getattr(b, slot) for slot in a.__slots__
         )
-    results["pair_step"] = {
-        "reference_seconds": ref_seconds,
-        "vectorized_seconds": vec_seconds,
-        "speedup": ref_seconds / vec_seconds,
-        "pairs": len(pairs),
-        "coefficients_identical": bool(coeffs_identical),
-    }
+    row.update(pairs=len(pairs), coefficients_identical=bool(coeffs_identical))
+    results["pair_step"] = row
     return results
 
 
@@ -184,44 +181,39 @@ def _full_cd(
     """
     options = {} if refine_iterations is None else {"refine_iterations": refine_iterations}
     probs = problem.population.probabilities(warm_start.discounts)
-    seconds: Dict[str, list] = {"reference": [], "vectorized": []}
-    op_counts: Dict[str, Dict] = {}
-    runs = {}
-    for _ in range(max(1, repeats)):
+
+    def run(oracle):
         # The oracle is built inside the timed, op-counted block, where CD
         # builds its own vectorized objective.
-        for kernel, oracle in (("reference", ReferenceObjective), ("vectorized", None)):
-            registry = MetricsRegistry()
-            with observe(metrics=registry):
-                start = time.perf_counter()
-                runs[kernel] = coordinate_descent_hypergraph(
-                    problem,
-                    hypergraph,
-                    warm_start,
-                    coordinates=coords,
-                    max_rounds=max_rounds,
-                    objective=None if oracle is None else oracle(hypergraph, probs),
-                    **options,
-                )
-                seconds[kernel].append(time.perf_counter() - start)
-            counters = registry.snapshot()["counters"]
-            op_counts[kernel] = {key: counters.get(key, 0) for key in _COUNTER_KEYS}
-    ref_cd, vec_cd = runs["reference"], runs["vectorized"]
-    best = {kernel: min(times) for kernel, times in seconds.items()}
-    row = {
-        "reference_seconds": best["reference"],
-        "vectorized_seconds": best["vectorized"],
-        "speedup": best["reference"] / best["vectorized"],
-        "reference_runs_seconds": seconds["reference"],
-        "vectorized_runs_seconds": seconds["vectorized"],
-        "rounds_run": vec_cd.rounds_run,
-        "pair_updates": vec_cd.pair_updates,
-        "round_values_identical": ref_cd.round_values == vec_cd.round_values,
-        "configuration_identical": bool(
+        registry = MetricsRegistry()
+        with observe(metrics=registry):
+            result = coordinate_descent_hypergraph(
+                problem,
+                hypergraph,
+                warm_start,
+                coordinates=coords,
+                max_rounds=max_rounds,
+                objective=None if oracle is None else oracle(hypergraph, probs),
+                **options,
+            )
+        counters = registry.snapshot()["counters"]
+        return result, {key: counters.get(key, 0) for key in _COUNTER_KEYS}
+
+    row, ref, vec = _race(
+        repeats, lambda: run(ReferenceObjective), lambda: run(None)
+    )
+    (ref_cd, ref_ops), (vec_cd, vec_ops) = ref.result, vec.result
+    row.update(
+        reference_runs_seconds=ref.runs,
+        vectorized_runs_seconds=vec.runs,
+        rounds_run=vec_cd.rounds_run,
+        pair_updates=vec_cd.pair_updates,
+        round_values_identical=ref_cd.round_values == vec_cd.round_values,
+        configuration_identical=bool(
             np.array_equal(ref_cd.configuration.discounts, vec_cd.configuration.discounts)
         ),
-    }
-    return row, op_counts
+    )
+    return row, {"reference": ref_ops, "vectorized": vec_ops}
 
 
 def run_kernel_benchmark(
@@ -307,15 +299,13 @@ def run_kernel_benchmark(
         "rr_identical": bool(determinism["rr_identical"]),
         "scan_guard_ok": bool(op_counts["scan_guard_ok"]),
     }
-    return {
-        "schema": SCHEMA,
-        "summary": _summary(
-            "cd-kernels",
-            baseline_seconds=results["full_cd"]["reference_seconds"],
-            candidate_seconds=results["full_cd"]["vectorized_seconds"],
-            checks=checks,
-        ),
-        "config": {
+    return _report(
+        SCHEMA,
+        "cd-kernels",
+        results["full_cd"]["reference_seconds"],
+        results["full_cd"]["vectorized_seconds"],
+        checks,
+        config={
             "nodes": nodes,
             "edge_prob": edge_prob,
             "rr_sets": rr_sets,
@@ -326,15 +316,10 @@ def run_kernel_benchmark(
             "repeats": repeats,
             "workers": list(workers),
         },
-        "machine": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "results": results,
-        "op_counts": op_counts,
-        "determinism": determinism,
-    }
+        results=results,
+        op_counts=op_counts,
+        determinism=determinism,
+    )
 
 
 def format_report(report: Dict) -> str:

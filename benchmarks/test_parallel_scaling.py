@@ -3,7 +3,8 @@
 Sweeps worker counts over RR-set polling and Monte-Carlo spread on the
 synthetic scaling graph, asserts the engine's determinism cross-check,
 and writes ``BENCH_parallel.json`` (schema documented in
-``docs/performance.md``).  The >1.5x speedup acceptance bar applies on
+``docs/performance.md``); ``python -m repro.rrset.bench --parallel`` runs
+the same sweep from the command line.  The >1.5x speedup acceptance bar applies on
 hosts with >= 4 physical cores; on smaller machines the sweep still runs
 and records whatever the hardware gives.
 
@@ -20,11 +21,11 @@ import os
 
 from conftest import run_once
 
-from repro.parallel.bench import (
-    FULL,
-    SMOKE,
-    format_report,
-    run_scaling_benchmark,
+from repro.rrset.bench import (
+    PARALLEL,
+    PARALLEL_SMOKE,
+    format_parallel_report,
+    run_parallel_benchmark,
     write_report,
 )
 
@@ -34,17 +35,11 @@ OUT_PATH = os.environ.get("REPRO_BENCH_PARALLEL_OUT", "BENCH_parallel.json")
 
 
 def test_parallel_scaling(benchmark):
-    shape = SMOKE if SMOKE_MODE else FULL
-    report = run_once(
-        benchmark,
-        run_scaling_benchmark,
-        workers=WORKERS,
-        repeats=1 if SMOKE_MODE else 3,
-        **shape,
-    )
+    shape = PARALLEL_SMOKE if SMOKE_MODE else PARALLEL
+    report = run_once(benchmark, run_parallel_benchmark, workers=WORKERS, **shape)
     write_report(report, OUT_PATH)
     print()
-    print(format_report(report))
+    print(format_parallel_report(report))
     print(f"wrote {OUT_PATH}")
 
     # The headline guarantee: every worker count produced the same bits.

@@ -1,7 +1,13 @@
-"""End-to-end benchmarks of the RR-hypergraph solvers and storage.
+"""End-to-end benchmarks of the RR-hypergraph solvers, storage and pool.
 
-Run it as a module with exactly one of three modes; ``--smoke`` shrinks
-any of them to CI scale.
+The one command behind every ``BENCH_*.json`` the package writes.  Run
+it as a module with exactly one of four modes; ``--smoke`` shrinks any
+of them to CI scale.  Every report shares one envelope (``schema``,
+``summary``, ``config``, ``machine``): the ``summary`` block names the
+benchmark, its baseline and candidate seconds, their speedup and the
+named ``pass``/``fail``/``skip`` checks with each skip's reason, and
+the module exits non-zero when any check fails.  Every timed block runs
+through :func:`_best_of`, each run in a ``bench.run`` span.
 
 ``--solvers`` runs the solver-vs-solver matrix: UD, cyclic CD, lazy CD,
 projected gradient ascent, and Frank-Wolfe all solve the *same*
@@ -14,7 +20,7 @@ under the ``solver_matrix`` key (its checks folded into the top-level
 ``summary``), or written standalone when no kernel report exists yet.
 The kernel report itself (vectorized CD objective against the test
 tree's pre-vectorization oracle) is written by
-``benchmarks/test_cd_kernel.py``::
+``benchmarks/test_cd_kernel.py`` through the same envelope::
 
     PYTHONPATH=src python -m repro.rrset.bench --solvers
     PYTHONPATH=src python -m repro.rrset.bench --solvers --smoke
@@ -24,11 +30,8 @@ fixed-θ UD+CD pipeline races the doubling driver of
 :mod:`repro.rrset.adaptive` on the same instance and seed plan,
 recording wall-clock, final θ, the certified error bound, the quality
 gap at the certificate, worker-count bit-identity, and the
-``adaptive.*`` / ``cd.*`` op counters (stop reason included).  The
-record lands in ``BENCH_adaptive.json``; every report shares the same
-top-level ``summary`` block (benchmark name, ok flag, baseline/candidate
-seconds, speedup, named pass/fail/skip checks with each skip's reason)
-so per-PR trajectories are machine-comparable::
+``adaptive.*`` / ``cd.*`` op counters (stop reason included), in
+``BENCH_adaptive.json``::
 
     PYTHONPATH=src python -m repro.rrset.bench --adaptive
     PYTHONPATH=src python -m repro.rrset.bench --adaptive --smoke
@@ -53,6 +56,15 @@ dtypes::
     PYTHONPATH=src python -m repro.rrset.bench --scale
     PYTHONPATH=src python -m repro.rrset.bench --scale --smoke --backing mmap
 
+``--parallel`` sweeps worker counts over RR-set polling and Monte-Carlo
+spread on an Erdős–Rényi weighted-cascade graph and checks that every
+worker count produced identical output (the deterministic pool's
+headline guarantee), in ``BENCH_parallel.json`` (schema
+``repro.parallel.bench/1``)::
+
+    PYTHONPATH=src python -m repro.rrset.bench --parallel
+    PYTHONPATH=src python -m repro.rrset.bench --parallel --smoke
+
 ``docs/performance.md`` documents the JSON schemas and how to interpret
 the numbers.
 """
@@ -60,12 +72,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import platform
 import sys
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -78,21 +91,23 @@ from repro.graphs.generators import erdos_renyi
 from repro.graphs.weights import assign_weighted_cascade
 from repro.obs.context import observe, recording
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Span
 from repro.rrset.hypergraph import RRHypergraph, csr_offsets
 from repro.rrset.sampler import sample_rr_sets
 
 __all__ = [
     "SCHEMA",
     "SCALE_SCHEMA",
+    "PARALLEL_SCHEMA",
     "build_cd_workload",
     "run_adaptive_benchmark",
     "run_solver_benchmark",
     "run_scale_benchmark",
+    "run_parallel_benchmark",
     "write_report",
     "format_adaptive_report",
     "format_solver_report",
     "format_scale_report",
+    "format_parallel_report",
     "merge_solver_matrix",
     "main",
 ]
@@ -106,12 +121,21 @@ SCHEMA = "repro.rrset.bench/2"
 #: unchanged and stay on /2.
 SCALE_SCHEMA = "repro.rrset.bench/3"
 
+#: The ``--parallel`` report keeps the schema line of its first producer.
+PARALLEL_SCHEMA = "repro.parallel.bench/1"
+
 #: Default CD benchmark shape (the solver matrix, the adaptive race and
 #: ``benchmarks/test_cd_kernel.py``): theta large enough that an
 #: O(theta) scan dominates a pair step; ``--smoke`` shrinks everything
 #: to CI scale.
 FULL = dict(nodes=200, edge_prob=0.03, rr_sets=60_000, support=24, budget=4.0)
 SMOKE = dict(nodes=80, edge_prob=0.05, rr_sets=4_000, support=10, budget=2.0)
+
+#: ``--parallel`` shape: big enough that chunk dispatch amortizes and
+#: per-core sampling runs for whole seconds; the smoke shape runs in a
+#: few hundred milliseconds and times each worker count once.
+PARALLEL = dict(nodes=2000, edge_prob=0.004, rr_sets=20_000, mc_samples=8_000)
+PARALLEL_SMOKE = dict(nodes=120, edge_prob=0.05, rr_sets=768, mc_samples=768, repeats=1)
 
 SEED = 2016
 DEFAULT_WORKERS = (1, 2)
@@ -151,6 +175,33 @@ def _summary(
     }
 
 
+def _report(
+    schema: str,
+    benchmark: str,
+    baseline_seconds: float,
+    candidate_seconds: float,
+    checks: Dict[str, Union[bool, str]],
+    config: Dict,
+    **body: Any,
+) -> Dict:
+    """The envelope of every bench report: schema, summary, config, machine.
+
+    ``body`` holds the report's own blocks (``results``, ``rows``,
+    ``determinism``, ...); the summary is built by :func:`_summary`.
+    """
+    return {
+        "schema": schema,
+        "summary": _summary(benchmark, baseline_seconds, candidate_seconds, checks),
+        "config": config,
+        "machine": {
+            "cpu_count": os.cpu_count(),
+            "platform": platform.platform(),
+            "python": platform.python_version(),
+        },
+        **body,
+    }
+
+
 def _format_checks(summary: Dict) -> List[str]:
     """The check states of a report, then each skipped check's reason."""
     lines = [
@@ -163,23 +214,64 @@ def _format_checks(summary: Dict) -> List[str]:
     return lines
 
 
-@contextmanager
-def _timed(name: str) -> Iterator[Span]:
-    """A recording ``bench.<name>`` span; its ``duration`` times the block."""
-    with recording() as tracer, tracer.span(f"bench.{name}") as span:
-        yield span
+class Timing(NamedTuple):
+    """One callable's record from :func:`_best_of`."""
+
+    seconds: float  # the best run: the statistic every bar reads
+    runs: List[float]  # every run, in order
+    result: Any  # the last run's result
 
 
-def _best_of(repeats: int, fn) -> tuple:
-    """Run ``fn`` ``repeats`` times; return (min seconds, last result)."""
-    best = float("inf")
-    result = None
+def _best_of(repeats: int, *fns: Callable[[], Any]) -> List[Timing]:
+    """Run ``fns`` round-robin ``repeats`` times; one :class:`Timing` each.
+
+    Each run is timed by its own ``bench.run`` span, so spans stay the
+    one clock.  Interleaving puts host load on every callable alike, and
+    a callable's previous result is dropped before its next run, so no
+    two of its results are alive at once.
+    """
+    runs: List[List[float]] = [[] for _ in fns]
+    results: List[Any] = [None] * len(fns)
     for _ in range(max(1, repeats)):
-        result = None  # free the previous run's result before the next
-        with _timed("repeat") as span:
-            result = fn()
-        best = min(best, span.duration)
-    return best, result
+        for index, fn in enumerate(fns):
+            results[index] = None
+            with recording() as tracer, tracer.span("bench.run") as span:
+                results[index] = fn()
+            runs[index].append(span.duration)
+    return [Timing(min(times), times, result) for times, result in zip(runs, results)]
+
+
+def _sha256(*arrays) -> str:
+    """Hex SHA-256 of the arrays' raw bytes, in order."""
+    hasher = hashlib.sha256()
+    for array in arrays:
+        hasher.update(np.asarray(array).tobytes())
+    return hasher.hexdigest()
+
+
+def _digest_rr(rr_sets: Sequence[np.ndarray]) -> str:
+    """Order-sensitive content hash of a sampled hyper-graph."""
+    hasher = hashlib.sha256()
+    for rr in rr_sets:
+        hasher.update(np.ascontiguousarray(rr, dtype=np.int64).tobytes())
+        hasher.update(b"|")
+    return hasher.hexdigest()
+
+
+def _determinism(workers: Sequence[int], digests: Sequence[str]) -> Dict:
+    """The worker-count bit-identity block: the first digest, and whether all agree."""
+    return {
+        "workers": list(workers),
+        "digest": digests[0],
+        "identical": len(set(digests)) == 1,
+    }
+
+
+def _er_problem(nodes: int, edge_prob: float, budget: float, seed: int) -> CIMProblem:
+    """The Erdős–Rényi instance: weighted-cascade IC with the paper's curve mixture."""
+    graph = assign_weighted_cascade(erdos_renyi(nodes, edge_prob, seed=seed), alpha=1.0)
+    population = paper_mixture(nodes, seed=seed + 1)
+    return CIMProblem(IndependentCascade(graph), population, budget=budget)
 
 
 def build_cd_workload(
@@ -200,9 +292,7 @@ def build_cd_workload(
     ``support`` support coordinates, which bounds the pair count per round
     so the reference kernel's full-CD run stays tractable.
     """
-    graph = assign_weighted_cascade(erdos_renyi(nodes, edge_prob, seed=seed), alpha=1.0)
-    population = paper_mixture(nodes, seed=seed + 1)
-    problem = CIMProblem(IndependentCascade(graph), population, budget=budget)
+    problem = _er_problem(nodes, edge_prob, budget, seed)
     rr_list = sample_rr_sets(problem.model, rr_sets, seed=seed + 2)
     hypergraph = RRHypergraph(nodes, rr_list)
     degrees = hypergraph.degrees()
@@ -240,7 +330,6 @@ def run_adaptive_benchmark(
     workers: Sequence[int] = DEFAULT_WORKERS,
     seed: int = SEED,
     max_rounds: int = 10,
-    **_ignored,
 ) -> Dict:
     """Race the fixed-θ UD+CD pipeline against the adaptive doubling driver.
 
@@ -256,40 +345,20 @@ def run_adaptive_benchmark(
     from repro.core.unified_discount import unified_discount
     from repro.rrset.adaptive import adaptive_hypergraph
 
-    graph = assign_weighted_cascade(erdos_renyi(nodes, edge_prob, seed=seed), alpha=1.0)
-    population = paper_mixture(nodes, seed=seed + 1)
-    problem = CIMProblem(IndependentCascade(graph), population, budget=budget)
+    problem = _er_problem(nodes, edge_prob, budget, seed)
 
-    # -- fixed-θ baseline: one-shot sampling, UD warm start, cyclic CD --
-    with _timed("fixed") as span:
+    def fixed():
+        """One-shot sampling, UD warm start, cyclic CD."""
         rr_list = sample_rr_sets(problem.model, rr_sets, seed=seed + 2, workers=1)
         hypergraph = RRHypergraph(nodes, rr_list)
         ud = unified_discount(problem, hypergraph)
-        fixed_cd = coordinate_descent_hypergraph(
+        cd = coordinate_descent_hypergraph(
             problem, hypergraph, ud.configuration, max_rounds=max_rounds
         )
-    fixed_seconds = span.duration
-    fixed_value = float(fixed_cd.objective_value)
+        return int(hypergraph.num_hyperedges), cd
 
-    # -- adaptive driver, op-counted ------------------------------------
-    registry = MetricsRegistry()
-    with observe(metrics=registry), _timed("adaptive") as span:
-        adaptive = adaptive_hypergraph(
-            problem,
-            seed=seed + 2,
-            epsilon=epsilon,
-            max_theta=rr_sets,
-            options={"max_rounds": max_rounds},
-            workers=1,
-        )
-    adaptive_seconds = span.duration
-    counters = registry.snapshot()["counters"]
-    op_counts = {key: counters.get(key, 0) for key in _ADAPTIVE_COUNTER_KEYS}
-
-    # -- worker-count bit-identity of the whole driver ------------------
-    digests = []
-    for count in workers:
-        run = adaptive_hypergraph(
+    def adaptive(count: int):
+        return adaptive_hypergraph(
             problem,
             seed=seed + 2,
             epsilon=epsilon,
@@ -297,55 +366,69 @@ def run_adaptive_benchmark(
             options={"max_rounds": max_rounds},
             workers=count,
         )
-        hasher = hashlib.sha256()
-        hasher.update(run.configuration.discounts.tobytes())
-        hasher.update(np.float64(run.objective_value).tobytes())
-        hasher.update(np.int64(run.theta).tobytes())
-        digests.append(hasher.hexdigest())
-    determinism = {
-        "workers": list(workers),
-        "digest": digests[0],
-        "identical": len(set(digests)) == 1,
-    }
 
-    gap = abs(adaptive.objective_value - fixed_value) / max(abs(fixed_value), 1e-12)
-    certified = max(float(adaptive.epsilon_bound), float(epsilon))
+    registry = MetricsRegistry()
+
+    def counted():
+        with observe(metrics=registry):
+            return adaptive(1)
+
+    fixed_run, adaptive_run = _best_of(1, fixed, counted)
+    fixed_theta, fixed_cd = fixed_run.result
+    run = adaptive_run.result
+    fixed_value = float(fixed_cd.objective_value)
+    counters = registry.snapshot()["counters"]
+    op_counts = {key: counters.get(key, 0) for key in _ADAPTIVE_COUNTER_KEYS}
+
+    # -- worker-count bit-identity of the whole driver ------------------
+    determinism = _determinism(
+        workers,
+        [
+            _sha256(
+                other.configuration.discounts,
+                np.float64(other.objective_value),
+                np.int64(other.theta),
+            )
+            for other in map(adaptive, workers)
+        ],
+    )
+
+    gap = abs(run.objective_value - fixed_value) / max(abs(fixed_value), 1e-12)
+    certified = max(float(run.epsilon_bound), float(epsilon))
     results = {
         "fixed": {
-            "seconds": fixed_seconds,
-            "theta": int(hypergraph.num_hyperedges),
+            "seconds": fixed_run.seconds,
+            "theta": fixed_theta,
             "objective_value": fixed_value,
             "rounds_run": int(fixed_cd.rounds_run),
         },
         "adaptive": {
-            "seconds": adaptive_seconds,
-            "theta": int(adaptive.theta),
-            "objective_value": float(adaptive.objective_value),
-            "epsilon_bound": float(adaptive.epsilon_bound),
-            "stop_reason": adaptive.stop_reason,
-            "stages": adaptive.stages,
+            "seconds": adaptive_run.seconds,
+            "theta": int(run.theta),
+            "objective_value": float(run.objective_value),
+            "epsilon_bound": float(run.epsilon_bound),
+            "stop_reason": run.stop_reason,
+            "stages": run.stages,
         },
         "quality": {
             "relative_gap": gap,
             "certified_epsilon": certified,
             "within_certified": bool(gap <= certified),
         },
-        "theta_saved": int(hypergraph.num_hyperedges - adaptive.theta),
+        "theta_saved": fixed_theta - int(run.theta),
     }
     checks = {
         "within_certified": results["quality"]["within_certified"],
-        "fewer_hyperedges": adaptive.theta <= hypergraph.num_hyperedges,
+        "fewer_hyperedges": run.theta <= fixed_theta,
         "workers_identical": determinism["identical"],
     }
-    return {
-        "schema": SCHEMA,
-        "summary": _summary(
-            "adaptive-sampling",
-            baseline_seconds=fixed_seconds,
-            candidate_seconds=adaptive_seconds,
-            checks=checks,
-        ),
-        "config": {
+    return _report(
+        SCHEMA,
+        "adaptive-sampling",
+        fixed_run.seconds,
+        adaptive_run.seconds,
+        checks,
+        config={
             "nodes": nodes,
             "edge_prob": edge_prob,
             "rr_sets": rr_sets,
@@ -356,26 +439,31 @@ def run_adaptive_benchmark(
             "seed": seed,
             "workers": list(workers),
         },
-        "machine": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "results": results,
-        "op_counts": op_counts,
-        "determinism": determinism,
-    }
+        results=results,
+        op_counts=op_counts,
+        determinism=determinism,
+    )
 
 
-#: Eval-economy counters per solver row: CD pays per pair evaluation, the
-#: gradient family per full-vector objective evaluation.
-_SOLVER_EVAL_COUNTERS = {
-    "ud": "ud.grid_points_total",
-    "cd": "cd.pair_evals_total",
-    "lazy-cd": "cd.pair_evals_total",
-    "gradient": "gradient.objective_evals_total",
-    "fw": "gradient.objective_evals_total",
+#: The report fields of each solver row, by result attribute; ``*_run``
+#: fields count iterations and are ints, the rest are floats.
+_UD_FIELDS = {
+    "objective_value": "spread_estimate",
+    "budget_spent": "configuration.cost",
+    "unified_discount": "best_discount",
 }
+_CD_FIELDS = {
+    "objective_value": "objective_value",
+    "budget_spent": "configuration.cost",
+    "rounds_run": "rounds_run",
+}
+_GRADIENT_FIELDS = {
+    "objective_value": "objective_value",
+    "budget_spent": "budget_spent",
+    "steps_run": "steps_run",
+    "duality_gap": "duality_gap",
+}
+_FW_FIELDS = dict(_GRADIENT_FIELDS, fw_gap="fw_gap")
 
 _SOLVER_WORKERS = (1, 2, 4)
 
@@ -391,7 +479,6 @@ def run_solver_benchmark(
     max_steps: int = 200,
     tolerance: float = 1e-3,
     seed: int = SEED,
-    **_ignored,
 ) -> Dict:
     """Solver-vs-solver quality/latency matrix on one shared hyper-graph.
 
@@ -409,114 +496,73 @@ def run_solver_benchmark(
     from repro.core.gradient import frank_wolfe, projected_gradient_ascent
     from repro.core.unified_discount import unified_discount
 
-    problem, rr_list, hypergraph, _warm, _coords = build_cd_workload(
+    problem, _rr_list, hypergraph, _warm, _coords = build_cd_workload(
         nodes, edge_prob, rr_sets, budget, support, seed=seed
     )
 
+    # One row per solver: its eval-economy counter (CD pays per pair
+    # evaluation, the gradient family per full-vector objective
+    # evaluation), its call on (hyper-graph, UD warm start), and the
+    # result fields it reports.  UD runs first and supplies the warm start.
+    matrix = (
+        ("ud", "ud.grid_points_total", _UD_FIELDS,
+         lambda hg, warm: unified_discount(problem, hg)),
+        ("cd", "cd.pair_evals_total", _CD_FIELDS,
+         lambda hg, warm: coordinate_descent_hypergraph(
+             problem, hg, warm, max_rounds=max_rounds)),
+        ("lazy-cd", "cd.pair_evals_total", _CD_FIELDS,
+         lambda hg, warm: coordinate_descent_hypergraph(
+             problem, hg, warm, max_rounds=max_rounds, pair_strategy="lazy")),
+        ("gradient", "gradient.objective_evals_total", _GRADIENT_FIELDS,
+         lambda hg, warm: projected_gradient_ascent(
+             problem, hg, warm, max_steps=max_steps, tolerance=tolerance)),
+        ("fw", "gradient.objective_evals_total", _FW_FIELDS,
+         lambda hg, warm: frank_wolfe(
+             problem, hg, max_steps=max_steps, tolerance=tolerance)),
+    )
     rows: Dict[str, Dict] = {}
-
-    def run_row(name: str, fn) -> object:
+    warm = None
+    for name, counter, fields, call in matrix:
         registry = MetricsRegistry()
-        with observe(metrics=registry), _timed("solver") as span:
-            result = fn()
+
+        def row_run():
+            with observe(metrics=registry):
+                return call(hypergraph, warm)
+
+        ((seconds, _runs, result),) = _best_of(1, row_run)
         counters = registry.snapshot()["counters"]
         rows[name] = {
-            "seconds": span.duration,
-            "objective_evals": int(counters.get(_SOLVER_EVAL_COUNTERS[name], 0)),
+            "seconds": seconds,
+            "objective_evals": int(counters.get(counter, 0)),
         }
-        return result
-
-    ud = run_row("ud", lambda: unified_discount(problem, hypergraph))
-    rows["ud"].update(
-        objective_value=float(ud.spread_estimate),
-        budget_spent=float(ud.configuration.cost),
-        unified_discount=float(ud.best_discount),
-    )
-
-    cd = run_row(
-        "cd",
-        lambda: coordinate_descent_hypergraph(
-            problem, hypergraph, ud.configuration, max_rounds=max_rounds
-        ),
-    )
-    rows["cd"].update(
-        objective_value=float(cd.objective_value),
-        budget_spent=float(cd.configuration.cost),
-        rounds_run=int(cd.rounds_run),
-    )
-
-    lazy = run_row(
-        "lazy-cd",
-        lambda: coordinate_descent_hypergraph(
-            problem,
-            hypergraph,
-            ud.configuration,
-            max_rounds=max_rounds,
-            pair_strategy="lazy",
-        ),
-    )
-    rows["lazy-cd"].update(
-        objective_value=float(lazy.objective_value),
-        budget_spent=float(lazy.configuration.cost),
-        rounds_run=int(lazy.rounds_run),
-    )
-
-    grad = run_row(
-        "gradient",
-        lambda: projected_gradient_ascent(
-            problem,
-            hypergraph,
-            ud.configuration,
-            max_steps=max_steps,
-            tolerance=tolerance,
-        ),
-    )
-    rows["gradient"].update(
-        objective_value=float(grad.objective_value),
-        budget_spent=float(grad.budget_spent),
-        steps_run=int(grad.steps_run),
-        duality_gap=float(grad.duality_gap),
-    )
-
-    fw = run_row(
-        "fw",
-        lambda: frank_wolfe(
-            problem, hypergraph, max_steps=max_steps, tolerance=tolerance
-        ),
-    )
-    rows["fw"].update(
-        objective_value=float(fw.objective_value),
-        budget_spent=float(fw.budget_spent),
-        steps_run=int(fw.steps_run),
-        duality_gap=float(fw.duality_gap),
-        fw_gap=float(fw.fw_gap),
-    )
+        for key, path in fields.items():
+            convert = int if key.endswith("_run") else float
+            rows[name][key] = convert(attrgetter(path)(result))
+        if name == "ud":
+            warm = result.configuration
 
     # -- worker-count bit-identity of the gradient family ---------------
     # Resample the hyper-graph with each worker count and rerun both
     # descents end to end (including the UD warm start); the digests cover
     # the final discounts and values, so any worker-dependent float path
     # anywhere in the chain breaks the check.
+    calls = {name: call for name, _counter, _fields, call in matrix}
     digests = []
     for count in workers:
-        rr_w = sample_rr_sets(problem.model, rr_sets, seed=seed + 2, workers=count)
-        hg_w = RRHypergraph(nodes, rr_w)
-        ud_w = unified_discount(problem, hg_w)
-        grad_w = projected_gradient_ascent(
-            problem, hg_w, ud_w.configuration, max_steps=max_steps, tolerance=tolerance
+        hg = RRHypergraph(
+            nodes, sample_rr_sets(problem.model, rr_sets, seed=seed + 2, workers=count)
         )
-        fw_w = frank_wolfe(problem, hg_w, max_steps=max_steps, tolerance=tolerance)
-        hasher = hashlib.sha256()
-        hasher.update(grad_w.configuration.discounts.tobytes())
-        hasher.update(np.float64(grad_w.objective_value).tobytes())
-        hasher.update(fw_w.configuration.discounts.tobytes())
-        hasher.update(np.float64(fw_w.objective_value).tobytes())
-        digests.append(hasher.hexdigest())
-    determinism = {
-        "workers": list(workers),
-        "digest": digests[0],
-        "identical": len(set(digests)) == 1,
-    }
+        grad = calls["gradient"](hg, calls["ud"](hg, None).configuration)
+        fw = calls["fw"](hg, None)
+        digests.append(
+            _sha256(
+                grad.configuration.discounts,
+                np.float64(grad.objective_value),
+                fw.configuration.discounts,
+                np.float64(fw.objective_value),
+            )
+        )
+    determinism = _determinism(workers, digests)
 
     cd_value = rows["cd"]["objective_value"]
     cd_evals = rows["cd"]["objective_evals"]
@@ -527,15 +573,13 @@ def run_solver_benchmark(
         "fw_fewer_evals": rows["fw"]["objective_evals"] < cd_evals,
         "workers_identical": determinism["identical"],
     }
-    return {
-        "schema": SCHEMA,
-        "summary": _summary(
-            "solver-matrix",
-            baseline_seconds=rows["cd"]["seconds"],
-            candidate_seconds=rows["gradient"]["seconds"],
-            checks=checks,
-        ),
-        "config": {
+    return _report(
+        SCHEMA,
+        "solver-matrix",
+        rows["cd"]["seconds"],
+        rows["gradient"]["seconds"],
+        checks,
+        config={
             "nodes": nodes,
             "edge_prob": edge_prob,
             "rr_sets": rr_sets,
@@ -546,14 +590,9 @@ def run_solver_benchmark(
             "seed": seed,
             "workers": list(workers),
         },
-        "machine": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "rows": rows,
-        "determinism": determinism,
-    }
+        rows=rows,
+        determinism=determinism,
+    )
 
 
 #: Scale-benchmark shapes (``--scale``).  FULL is the out-of-core push:
@@ -579,10 +618,17 @@ SCALE_SMOKE = dict(
     budget=10.0,
     backing="mmap",
     rss_budget_mb=2048.0,
+    workers=(1, 2),
 )
 
 _SCALE_WORKERS = (1, 2, 4)
-_SCALE_SMOKE_WORKERS = (1, 2)
+
+#: Size floors (edges, nodes) of a full-shape ``--scale`` graph: the
+#: published com-LiveJournal size is ~4M nodes and >=30M undirected edges.
+_SCALE_FLOORS = {
+    "com_dblp_like": (2_000_000, 300_000),
+    "com_lj_like": (30_000_000, 3_900_000),
+}
 
 #: Serial sampling time below which the worker sweep measures pool
 #: start-up rather than scaling, so the speedup check is skipped.
@@ -590,9 +636,6 @@ _MIN_SCALING_SECONDS = 1.0
 
 #: Runs per worker count (best of) when the sweep can measure scaling.
 _SCALE_REPEATS = 3
-
-#: Generators the scale benchmark knows how to build, by config name.
-_SCALE_GRAPHS = ("com_dblp_like", "com_lj_like")
 
 #: Pickle volume allowed per chunk in shared mode: a SlabRef is ~100
 #: bytes; anything over 1 KiB means member payloads leaked back into the
@@ -668,7 +711,6 @@ def run_scale_benchmark(
     rss_budget_mb: Optional[float] = None,
     required_edges: int = 0,
     required_nodes: int = 0,
-    **_ignored,
 ) -> Dict:
     """End-to-end solve at SNAP scale: shared slabs vs heap pickling.
 
@@ -700,15 +742,16 @@ def run_scale_benchmark(
     from repro.rrset.sampler import sample_rr_csr
     from repro.utils.spill import peak_rss_mb, resolve_backing
 
-    if graph not in _SCALE_GRAPHS:
-        raise ValueError(f"graph must be one of {_SCALE_GRAPHS}, got {graph!r}")
+    if graph not in _SCALE_FLOORS:
+        raise ValueError(f"graph must be one of {tuple(_SCALE_FLOORS)}, got {graph!r}")
     backing_mode = resolve_backing(backing)
     generator = getattr(generators, graph)
 
-    with _timed("graph") as span:
+    def build_graph():
         base = generator(scale=graph_scale, seed=seed, backing=backing_mode, spill_dir=spill_dir)
-        weighted = assign_weighted_cascade(base, alpha=1.0)
-    graph_seconds = span.duration
+        return assign_weighted_cascade(base, alpha=1.0)
+
+    ((graph_seconds, _runs, weighted),) = _best_of(1, build_graph)
     nodes = weighted.num_nodes
     population = paper_mixture(nodes, seed=seed + 1)
     problem = CIMProblem(IndependentCascade(weighted), population, budget=budget)
@@ -734,12 +777,15 @@ def run_scale_benchmark(
         rows: List[Dict] = []
         for count in workers:
             arrays = None  # free the previous row's arrays first
-            seconds, (counters, arrays) = _best_of(repeats, lambda: sample_shared(count))
+            seconds, runs, (counters, arrays) = _best_of(
+                repeats, lambda: sample_shared(count)
+            )[0]
             pickled = int(counters.get("storage.pickled_bytes_total", 0))
             rows.append(
                 {
                     "workers": count,
                     "seconds": seconds,
+                    "runs_seconds": runs,
                     "pickled_bytes": pickled,
                     "pickled_bytes_per_chunk": pickled / max(chunks, 1),
                     "slab_bytes": int(counters.get("storage.slab_bytes_total", 0)),
@@ -784,9 +830,9 @@ def run_scale_benchmark(
     def build(sizes: np.ndarray, members: np.ndarray) -> RRHypergraph:
         return RRHypergraph.from_csr(nodes, csr_offsets(sizes), members)
 
-    with _timed("index") as span:
-        hg_shared = build(shared_sizes, shared_members)
-    hypergraph_seconds = span.duration
+    ((hypergraph_seconds, _runs, hg_shared),) = _best_of(
+        1, lambda: build(shared_sizes, shared_members)
+    )
     result_shared = solve(problem, "ud", hypergraph=hg_shared, seed=seed + 3)
     solve_seconds = result_shared.timings.total
 
@@ -796,11 +842,14 @@ def run_scale_benchmark(
 
     # -- heap baseline: members pickled back through the pool -----------
     registry = MetricsRegistry()
-    with observe(metrics=registry), _timed("heap_sample") as span:
-        heap_sizes, heap_members = sample_rr_csr(
-            problem.model, rr_sets, seed=seed + 2, workers=max_workers, storage="heap"
-        )
-    heap_seconds = span.duration
+
+    def sample_heap():
+        with observe(metrics=registry):
+            return sample_rr_csr(
+                problem.model, rr_sets, seed=seed + 2, workers=max_workers, storage="heap"
+            )
+
+    ((heap_seconds, _runs, (heap_sizes, heap_members)),) = _best_of(1, sample_heap)
     heap_counters = registry.snapshot()["counters"]
     heap_pickled = int(heap_counters.get("storage.pickled_bytes_total", 0))
     heap_row = {
@@ -828,11 +877,13 @@ def run_scale_benchmark(
     else:
         rss_check = peak_rss <= rss_budget_mb
 
-    digests = [heap_row["digest"]] + [row["digest"] for row in shared_rows]
+    determinism = _determinism(
+        workers, [heap_row["digest"]] + [row["digest"] for row in shared_rows]
+    )
     checks = {
         "graph_nodes_ok": nodes >= required_nodes,
         "graph_edges_ok": weighted.num_edges >= required_edges,
-        "hypergraph_identical": len(set(digests)) == 1,
+        "hypergraph_identical": determinism["identical"],
         "backing_identical": bool(backing_check["identical"]),
         "solver_identical": solver_identical,
         "pickled_members_near_zero": all(
@@ -842,15 +893,13 @@ def run_scale_benchmark(
         "sampling_speedup_ok": speedup_check,
         "rss_within_budget": rss_check,
     }
-    return {
-        "schema": SCALE_SCHEMA,
-        "summary": _summary(
-            "scale-storage",
-            baseline_seconds=heap_seconds,
-            candidate_seconds=t_wide,
-            checks=checks,
-        ),
-        "config": {
+    return _report(
+        SCALE_SCHEMA,
+        "scale-storage",
+        heap_seconds,
+        t_wide,
+        checks,
+        config={
             "graph": graph,
             "graph_scale": graph_scale,
             "rr_sets": rr_sets,
@@ -863,12 +912,7 @@ def run_scale_benchmark(
             "required_edges": required_edges,
             "required_nodes": required_nodes,
         },
-        "machine": {
-            "cpu_count": cpu_count,
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "results": {
+        results={
             "graph": {
                 "nodes": int(nodes),
                 "edges": int(weighted.num_edges),
@@ -905,12 +949,98 @@ def run_scale_benchmark(
             },
             "backing_check": backing_check,
         },
-        "determinism": {
-            "workers": list(workers),
-            "digest": digests[0],
-            "identical": len(set(digests)) == 1,
-        },
+        determinism=determinism,
+    )
+
+
+_PARALLEL_WORKERS = (1, 2, 4)
+
+
+def run_parallel_benchmark(
+    nodes: int,
+    edge_prob: float,
+    rr_sets: int,
+    mc_samples: int,
+    workers: Sequence[int] = _PARALLEL_WORKERS,
+    repeats: int = 3,
+    seed: int = SEED,
+) -> Dict:
+    """Measure sets/sec and samples/sec at each worker count.
+
+    Returns the full ``BENCH_parallel.json`` payload (minus the file).
+    Both workloads reuse one seed, so the determinism cross-check —
+    identical RR digest and identical spread estimate at every worker
+    count — doubles as an end-to-end test of the engine.  The summary's
+    baseline and candidate are the RR sampling times at the first and
+    the last worker count of the sweep.
+    """
+    from repro.diffusion.montecarlo import estimate_spread
+    from repro.parallel.pool import resolve_workers
+
+    # The sweep reads the diffusion model alone; the budget is a placeholder.
+    model = _er_problem(nodes, edge_prob, 1.0, seed).model
+    mc_seeds = list(range(min(5, nodes)))
+
+    # Run-wide observability totals (across every worker count and repeat);
+    # a private registry keeps earlier activity in the process out of the
+    # report, while ``observe`` still merges the totals up on exit.
+    registry = MetricsRegistry()
+    results: Dict[str, List[Dict]] = {"rr_sets": [], "spread": []}
+    rr_digests: List[str] = []
+    spread_keys: List[tuple] = []
+    with observe(metrics=registry):
+        for count in workers:
+            sampled, estimated = _best_of(
+                repeats,
+                lambda: sample_rr_sets(model, rr_sets, seed=seed, workers=count),
+                lambda: estimate_spread(
+                    model, mc_seeds, num_samples=mc_samples, seed=seed, workers=count
+                ),
+            )
+            rr_digests.append(_digest_rr(sampled.result))
+            estimate = estimated.result
+            spread_keys.append((estimate.mean, estimate.stddev, estimate.num_samples))
+            for key, timing, items, rate in (
+                ("rr_sets", sampled, rr_sets, "sets_per_sec"),
+                ("spread", estimated, mc_samples, "samples_per_sec"),
+            ):
+                results[key].append(
+                    {
+                        "workers": resolve_workers(count),
+                        "seconds": timing.seconds,
+                        "runs_seconds": timing.runs,
+                        rate: items / timing.seconds,
+                    }
+                )
+
+    for key, rate in (("rr_sets", "sets_per_sec"), ("spread", "samples_per_sec")):
+        for row in results[key]:
+            row["speedup"] = row[rate] / results[key][0][rate]
+
+    determinism = {
+        "rr_digest": rr_digests[0],
+        "rr_identical": len(set(rr_digests)) == 1,
+        "spread_identical": len(set(spread_keys)) == 1,
     }
+    return _report(
+        PARALLEL_SCHEMA,
+        "parallel-scaling",
+        results["rr_sets"][0]["seconds"],
+        results["rr_sets"][-1]["seconds"],
+        {key: determinism[key] for key in ("rr_identical", "spread_identical")},
+        config={
+            "nodes": nodes,
+            "edge_prob": edge_prob,
+            "rr_sets": rr_sets,
+            "mc_samples": mc_samples,
+            "seed": seed,
+            "repeats": repeats,
+            "workers": [resolve_workers(w) for w in workers],
+        },
+        results=results,
+        metrics=registry.snapshot(),
+        determinism=determinism,
+    )
 
 
 def format_scale_report(report: Dict) -> str:
@@ -1065,76 +1195,120 @@ def format_adaptive_report(report: Dict) -> str:
     return "\n".join(lines)
 
 
+def format_parallel_report(report: Dict) -> str:
+    """Human-readable table of a parallel-scaling payload."""
+    cfg = report["config"]
+    lines = [
+        f"parallel scaling — n={cfg['nodes']} p={cfg['edge_prob']:g} "
+        f"theta={cfg['rr_sets']} mc={cfg['mc_samples']} "
+        f"(cpus={report['machine']['cpu_count']})",
+        f"{'workers':>8s} {'rr sets/s':>12s} {'speedup':>8s} "
+        f"{'mc samp/s':>12s} {'speedup':>8s}",
+    ]
+    for rr, sp in zip(report["results"]["rr_sets"], report["results"]["spread"]):
+        lines.append(
+            f"{rr['workers']:8d} {rr['sets_per_sec']:12,.0f} {rr['speedup']:7.2f}x "
+            f"{sp['samples_per_sec']:12,.0f} {sp['speedup']:7.2f}x"
+        )
+    lines.extend(_format_checks(report["summary"]))
+    return "\n".join(lines)
+
+
 def write_report(report: Dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
+#: Per mode: the runner, its formatter, the default report path and the
+#: runner's (full, smoke) arguments, which command-line options override.
+_MODES = {
+    "adaptive": (
+        run_adaptive_benchmark,
+        format_adaptive_report,
+        "BENCH_adaptive.json",
+        (dict(FULL, epsilon=0.05), dict(SMOKE, epsilon=0.15)),
+    ),
+    "solvers": (run_solver_benchmark, format_solver_report, "BENCH_cd.json", (FULL, SMOKE)),
+    "scale": (run_scale_benchmark, format_scale_report, "BENCH_scale.json", (SCALE, SCALE_SMOKE)),
+    "parallel": (
+        run_parallel_benchmark,
+        format_parallel_report,
+        "BENCH_parallel.json",
+        (PARALLEL, PARALLEL_SMOKE),
+    ),
+}
+
+
+def _worker_counts(text: str) -> tuple:
+    return tuple(int(w) for w in text.split(",") if w.strip())
+
+
+def _budget_mb(text: str) -> Optional[float]:
+    return float(text) or None  # 0 disables the guard
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.rrset.bench",
-        description="Benchmark the RR-hypergraph solvers and storage.",
+        description="Benchmark the RR-hypergraph solvers, storage and worker pool.",
+        # An option not given keeps its mode's default: it is absent from
+        # the parsed namespace instead of holding a placeholder.
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument(
         "--smoke",
         action="store_true",
+        default=False,
         help="tiny graph / few RR sets: a CI-speed sanity run",
     )
     mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="benchmark fixed-theta vs adaptive sampling; writes "
-        "BENCH_adaptive.json by default",
-    )
-    mode.add_argument(
-        "--solvers",
-        action="store_true",
-        help="benchmark the solver matrix (ud/cd/lazy-cd/gradient/fw) on "
-        "one shared hyper-graph; merges into BENCH_cd.json",
-    )
-    mode.add_argument(
-        "--scale",
-        action="store_true",
-        help="benchmark shared-slab vs heap storage on a SNAP-size "
-        "analogue (end-to-end solve, worker sweep, peak RSS); "
-        "com-LiveJournal on the spill-mmap backing by default, com-DBLP "
-        "in --smoke; writes BENCH_scale.json (schema repro.rrset.bench/3)",
-    )
+    for name, help_text in (
+        ("adaptive", "benchmark fixed-theta vs adaptive sampling; writes "
+         "BENCH_adaptive.json by default"),
+        ("solvers", "benchmark the solver matrix (ud/cd/lazy-cd/gradient/fw) on "
+         "one shared hyper-graph; merges into BENCH_cd.json"),
+        ("scale", "benchmark shared-slab vs heap storage on a SNAP-size "
+         "analogue (end-to-end solve, worker sweep, peak RSS); "
+         "com-LiveJournal on the spill-mmap backing by default, com-DBLP "
+         "in --smoke; writes BENCH_scale.json (schema repro.rrset.bench/3)"),
+        ("parallel", "benchmark RR-set and Monte-Carlo throughput across "
+         "worker counts and their bit-identity; writes BENCH_parallel.json"),
+    ):
+        mode.add_argument(
+            f"--{name}", dest="mode", action="store_const", const=name, help=help_text
+        )
     parser.add_argument(
         "--scale-factor",
+        dest="graph_scale",
         type=float,
-        default=None,
         help="graph size multiplier for --scale (default 1.0 full, "
         "0.02 smoke)",
     )
     parser.add_argument(
         "--scale-graph",
-        choices=("com_dblp_like", "com_lj_like"),
-        default=None,
+        dest="graph",
+        choices=tuple(_SCALE_FLOORS),
         help="which SNAP analogue --scale builds (default com_lj_like "
         "full, com_dblp_like smoke)",
     )
     parser.add_argument(
         "--backing",
         choices=("heap", "mmap"),
-        default=None,
         help="CSR backing for the --scale graph + hyper-graph: 'mmap' "
         "(default) streams the graph build and assembles into disk-backed "
         "spill files, 'heap' keeps everything in RAM",
     )
     parser.add_argument(
         "--spill-dir",
-        default=None,
         metavar="DIR",
         help="spill root for --backing mmap (default: $REPRO_SPILL_DIR, "
         "else the system temp dir)",
     )
     parser.add_argument(
         "--rss-budget",
-        type=float,
-        default=None,
+        dest="rss_budget_mb",
+        type=_budget_mb,
         metavar="MIB",
         help="fail --scale when peak RSS exceeds this many MiB "
         "(default 8192 full, 2048 smoke; pass 0 to disable the guard)",
@@ -1142,125 +1316,56 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--epsilon",
         type=float,
-        default=None,
         help="certificate target for --adaptive (default 0.05 full, "
         "0.15 smoke)",
     )
     parser.add_argument(
         "--max-steps",
         type=int,
-        default=200,
-        help="gradient/FW iteration cap for --solvers",
+        help="gradient/FW iteration cap for --solvers (default 200)",
     )
     parser.add_argument(
         "--tolerance",
         type=float,
-        default=1e-3,
-        help="gradient/FW stopping tolerance for --solvers",
+        help="gradient/FW stopping tolerance for --solvers (default 1e-3)",
     )
-    parser.add_argument("--nodes", type=int, default=None)
-    parser.add_argument("--edge-prob", type=float, default=None)
-    parser.add_argument("--rr-sets", type=int, default=None)
-    parser.add_argument("--budget", type=float, default=None)
+    parser.add_argument("--nodes", type=int)
+    parser.add_argument("--edge-prob", type=float)
+    parser.add_argument("--rr-sets", type=int)
+    parser.add_argument("--budget", type=float)
     parser.add_argument(
         "--support",
         type=int,
-        default=None,
         help="CD support size (bounds the pair count per round)",
     )
-    parser.add_argument("--max-rounds", type=int, default=10)
+    parser.add_argument("--max-rounds", type=int, help="CD round cap (default 10)")
     parser.add_argument(
         "--workers",
-        default=None,
-        help="comma-separated worker counts for the sampling determinism "
-        "cross-check (default 1,2 — or 1,2,4 with --solvers)",
+        type=_worker_counts,
+        help="comma-separated worker counts to sweep or cross-check "
+        "(default 1,2 with --adaptive and --scale --smoke, else 1,2,4)",
     )
-    parser.add_argument("--seed", type=int, default=SEED)
+    parser.add_argument("--seed", type=int)
     parser.add_argument(
         "--out",
         default=None,
         metavar="PATH",
         help="where to write the JSON report (default BENCH_cd.json with "
         "--solvers, BENCH_adaptive.json with --adaptive, BENCH_scale.json "
-        "with --scale)",
+        "with --scale, BENCH_parallel.json with --parallel)",
     )
     args = parser.parse_args(argv)
 
-    shape = dict(SMOKE if args.smoke else FULL)
-    for key, value in (
-        ("nodes", args.nodes),
-        ("edge_prob", args.edge_prob),
-        ("rr_sets", args.rr_sets),
-        ("budget", args.budget),
-        ("support", args.support),
-    ):
-        if value is not None:
-            shape[key] = value
-    if args.workers is None:
-        workers = _SOLVER_WORKERS if args.solvers else DEFAULT_WORKERS
-    else:
-        workers = tuple(int(w) for w in str(args.workers).split(",") if w.strip())
-
-    if args.scale:
-        scale_shape = dict(SCALE_SMOKE if args.smoke else SCALE)
-        if args.scale_factor is not None:
-            scale_shape["graph_scale"] = args.scale_factor
-        if args.rr_sets is not None:
-            scale_shape["rr_sets"] = args.rr_sets
-        if args.budget is not None:
-            scale_shape["budget"] = args.budget
-        if args.scale_graph is not None:
-            scale_shape["graph"] = args.scale_graph
-        if args.backing is not None:
-            scale_shape["backing"] = args.backing
-        if args.spill_dir is not None:
-            scale_shape["spill_dir"] = args.spill_dir
-        if args.rss_budget is not None:
-            scale_shape["rss_budget_mb"] = args.rss_budget or None
-        if args.workers is None:
-            workers = _SCALE_SMOKE_WORKERS if args.smoke else _SCALE_WORKERS
-        if args.smoke:
-            required_edges, required_nodes = 0, 0
-        elif scale_shape["graph"] == "com_lj_like":
-            # The published com-LiveJournal size: ~4M nodes, >=30M
-            # undirected edges (the acceptance floor of the scale cell).
-            required_edges, required_nodes = 30_000_000, 3_900_000
-        else:
-            required_edges, required_nodes = 2_000_000, 300_000
-        out = args.out or "BENCH_scale.json"
-        report = run_scale_benchmark(
-            workers=workers,
-            seed=args.seed,
-            required_edges=required_edges,
-            required_nodes=required_nodes,
-            **scale_shape,
-        )
-        write_report(report, out)
-        print(format_scale_report(report))
-    elif args.adaptive:
-        epsilon = args.epsilon if args.epsilon is not None else (0.15 if args.smoke else 0.05)
-        out = args.out or "BENCH_adaptive.json"
-        report = run_adaptive_benchmark(
-            workers=workers,
-            epsilon=epsilon,
-            max_rounds=args.max_rounds,
-            seed=args.seed,
-            **shape,
-        )
-        write_report(report, out)
-        print(format_adaptive_report(report))
-    else:
-        out = args.out or "BENCH_cd.json"
-        report = run_solver_benchmark(
-            workers=workers,
-            max_rounds=args.max_rounds,
-            max_steps=args.max_steps,
-            tolerance=args.tolerance,
-            seed=args.seed,
-            **shape,
-        )
-        write_report(merge_solver_matrix(report, out), out)
-        print(format_solver_report(report))
+    runner, format_report, default_out, shapes = _MODES[args.mode]
+    parameters = inspect.signature(runner).parameters
+    kwargs = dict(shapes[args.smoke])
+    kwargs.update((key, value) for key, value in vars(args).items() if key in parameters)
+    if args.mode == "scale" and not args.smoke:
+        kwargs["required_edges"], kwargs["required_nodes"] = _SCALE_FLOORS[kwargs["graph"]]
+    out = args.out or default_out
+    report = runner(**kwargs)
+    write_report(merge_solver_matrix(report, out) if args.mode == "solvers" else report, out)
+    print(format_report(report))
     print(f"wrote {out}")
     if not report["summary"]["ok"]:
         failed = [k for k, v in report["summary"]["checks"].items() if v == "fail"]

@@ -5,7 +5,8 @@ path — graph build (heap and streaming/mmap), sampling sweep through
 both transports, spill-backed hyper-graph assembly, UD solve, the
 backing cross-check, check evaluation, report rendering — in seconds,
 and pins the ``BENCH_scale.json`` schema (``repro.rrset.bench/3``) the
-docs and the CI regression guard rely on.
+docs and the CI regression guard rely on, and the report envelope every
+mode of the module's command line shares.
 """
 
 import json
@@ -13,6 +14,7 @@ import json
 import pytest
 
 from repro.rrset.bench import (
+    PARALLEL_SCHEMA,
     SCALE_SCHEMA,
     SCHEMA,
     _summary,
@@ -110,6 +112,8 @@ class TestScaleReport:
         assert sampling["heap"]["pickled_bytes_per_chunk"] > 1024
         for row in sampling["shared"]:
             assert row["pickled_bytes_per_chunk"] <= 1024
+            # The unmeasured sweep times each row once, and records it.
+            assert row["runs_seconds"] == [row["seconds"]]
 
     def test_speedup_skip_reason_is_machine_derived(self, report):
         import os
@@ -133,9 +137,12 @@ class TestScaleReport:
         repeats = []
         best_of = bench._best_of
 
-        def recording(count, fn):
-            repeats.append(count)
-            return best_of(count, fn)
+        def recording(count, *fns):
+            # The graph build, index and heap baseline time once each;
+            # only the sweep's own calls are counted.
+            if ".sweep.<locals>." in fns[0].__qualname__:
+                repeats.append(count)
+            return best_of(count, *fns)
 
         monkeypatch.setattr(bench, "_best_of", recording)
         monkeypatch.setattr(bench, "_MIN_SCALING_SECONDS", min_scaling_seconds)
@@ -270,7 +277,9 @@ class TestSummary:
         kernel.write_text(json.dumps(old))
         assert merge_solver_matrix(matrix, str(kernel))["summary"]["ok"] is False
 
-    @pytest.mark.parametrize("argv", [[], ["--smoke"], ["--solvers", "--scale"]])
+    @pytest.mark.parametrize(
+        "argv", [[], ["--smoke"], ["--solvers", "--scale"], ["--parallel", "--scale"]]
+    )
     def test_cli_needs_exactly_one_mode(self, argv, capsys):
         # The kernel report has its own producer (benchmarks/test_cd_kernel.py);
         # the module has no default mode.
@@ -291,3 +300,27 @@ class TestScaleReportMmap:
     def test_mmap_rows_record_spill_volume(self, mmap_report):
         for row in mmap_report["results"]["sampling"]["shared"]:
             assert row["spill_bytes"] > 0
+
+
+class TestMainEnvelope:
+    SCHEMAS = {
+        "adaptive": SCHEMA,
+        "solvers": SCHEMA,
+        "scale": SCALE_SCHEMA,
+        "parallel": PARALLEL_SCHEMA,
+    }
+
+    @pytest.mark.parametrize("mode", sorted(SCHEMAS))
+    def test_every_mode_writes_the_shared_envelope(self, mode, tmp_path, capsys):
+        out = tmp_path / "BENCH.json"
+        code = main(
+            [f"--{mode}", "--smoke", "--workers", "1,2", "--rr-sets", "1024",
+             "--spill-dir", str(tmp_path), "--out", str(out)]
+        )
+        report = json.loads(out.read_text())
+        assert report["schema"] == self.SCHEMAS[mode]
+        summary = report["summary"]
+        assert summary["checks"]
+        assert set(summary["checks"].values()) <= {"pass", "fail", "skip"}
+        assert set(report["machine"]) == {"cpu_count", "platform", "python"}
+        assert code == (0 if summary["ok"] else 1)
