@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Scenario: pay-on-redemption budgeting and campaign diagnostics.
+"""Scenario: pay-on-redemption budgeting.
 
 The paper's budget is a *safe* (worst-case) budget: money is reserved for
 every targeted user.  Its future-work section suggests the alternative a
@@ -9,12 +9,8 @@ only paid when the user actually redeems it.  This script:
 1. plans the same campaign under both budget semantics and shows how many
    more users the expected budget reaches;
 2. refines the expected-budget plan with spend-preserving coordinate
-   descent;
-3. prints full plan diagnostics (who gets what, by user segment) via
-   ``repro.analysis``;
-4. sweeps the budget frontier to find the knee where extra spend stops
-   paying; and
-5. persists the final plan to JSON and reloads it, as a campaign system
+   descent; and
+3. persists the final plan to JSON and reloads it, as a campaign system
    would.
 
 Run:  python examples/expected_budget_campaign.py
@@ -29,12 +25,10 @@ from repro import (
     CIMProblem,
     IndependentCascade,
     assign_weighted_cascade,
-    budget_frontier,
     expected_cost,
     load_configuration,
     paper_mixture,
     save_configuration,
-    summarize_plan,
     unified_discount,
     unified_discount_expected,
 )
@@ -75,30 +69,7 @@ def main() -> None:
         f"{refined.expected_spend:.2f}\n"
     )
 
-    # --- 3. plan diagnostics ---------------------------------------------
-    print("=== final plan diagnostics ===")
-    summary = summarize_plan(refined.configuration, problem, hypergraph)
-    print(summary.as_text())
-    print()
-
-    # --- 4. budget frontier ----------------------------------------------
-    print("=== budget frontier (safe budget, UD) ===")
-    points = budget_frontier(
-        problem.model,
-        population,
-        budgets=(2, 4, 8, 16),
-        method="ud",
-        hypergraph=hypergraph,
-        seed=34,
-    )
-    for point in points:
-        print(
-            f"  B={point.budget:5.1f}  spread={point.spread:8.1f}  "
-            f"marginal={point.marginal:6.2f} adopters per budget unit"
-        )
-    print()
-
-    # --- 5. persistence ----------------------------------------------------
+    # --- 3. persistence ----------------------------------------------------
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "campaign_plan.json"
         save_configuration(refined.configuration, path)

@@ -23,7 +23,6 @@ Quickstart::
 See README.md and DESIGN.md for the full architecture.
 """
 
-from repro.analysis import budget_frontier, compare_methods, summarize_plan
 from repro.core import (
     AccessSet,
     BudgetConstraint,
@@ -133,7 +132,6 @@ from repro.parallel import (
     run_chunks,
 )
 from repro.rrset import RRHypergraph, HypergraphObjective, sample_rr_sets
-from repro.rrset.imm import imm_hypergraph
 from repro.runtime import (
     CheckpointStore,
     Deadline,
@@ -197,10 +195,6 @@ __all__ = [
     "exact_ui_lt",
     "expected_cost",
     "unified_discount_expected",
-    # analysis
-    "summarize_plan",
-    "compare_methods",
-    "budget_frontier",
     # io
     "save_configuration",
     "load_configuration",
@@ -235,7 +229,6 @@ __all__ = [
     "RRHypergraph",
     "HypergraphObjective",
     "sample_rr_sets",
-    "imm_hypergraph",
     # parallel (deterministic worker-pool sampling)
     "partition_chunks",
     "resolve_workers",

@@ -33,13 +33,6 @@ from repro.core.curves import (
     QuadraticCurve,
     SeedProbabilityCurve,
 )
-from repro.core.curve_fitting import (
-    Observation,
-    fit_logistic_curve,
-    fit_piecewise_curve,
-    fit_power_curve,
-    pava,
-)
 from repro.core.estimation import theorem2_sample_count, theorem4_time_bound
 from repro.core.exact_lt import ExactLTComputer, exact_spread_lt, exact_ui_lt
 from repro.core.expected_budget import (
@@ -145,11 +138,6 @@ __all__ = [
     "invert_expected_cost",
     "unified_discount_expected",
     "coordinate_descent_expected",
-    "Observation",
-    "fit_piecewise_curve",
-    "fit_power_curve",
-    "fit_logistic_curve",
-    "pava",
     "ExactLTComputer",
     "exact_spread_lt",
     "exact_ui_lt",

@@ -1,6 +1,5 @@
 """Discrete influence maximization baselines (the paper's "IM")."""
 
-from repro.discrete.budgeted import BudgetedIMResult, budgeted_max_coverage
 from repro.discrete.greedy import celf_greedy
 from repro.discrete.group_persuasion import GroupPersuasionResult, group_persuasion
 from repro.discrete.heuristics import degree_seeds, pagerank_seeds, random_seeds
@@ -13,8 +12,6 @@ __all__ = [
     "degree_seeds",
     "random_seeds",
     "pagerank_seeds",
-    "budgeted_max_coverage",
-    "BudgetedIMResult",
     "group_persuasion",
     "GroupPersuasionResult",
 ]

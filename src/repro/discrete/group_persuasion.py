@@ -6,7 +6,7 @@ A more realistic strategy is that we can adjust the resource spent on a
 specific individual ... which is the subject studied in this paper."
 
 This module implements that predecessor as a baseline: users are
-partitioned into groups (demographics, communities, ad segments); the
+partitioned into groups (demographics, regions, ad segments); the
 marketer picks *groups* to target; every member of a targeted group
 independently becomes a seed with a fixed, exogenous probability.  The
 expected spread is the usual probabilistic-seed objective, estimated on

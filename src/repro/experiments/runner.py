@@ -218,6 +218,8 @@ def run_methods(
         part of the checkpoint content key (only when constraints are
         present, so unconstrained grids keep their historical keys): a
         constrained grid never resumes an unconstrained grid's cells.
+        Non-empty ``solver_options`` join the key by the same rule, and
+        a passed ``hypergraph`` is keyed by its arrays.
     """
     validate_run_inputs(problem, methods, evaluation_samples)
 
@@ -233,11 +235,17 @@ def run_methods(
             seed=seed,
             num_hyperedges=num_hyperedges,
             evaluation_samples=evaluation_samples,
-            prebuilt_hypergraph=hypergraph is not None,
+            # A passed hyper-graph is keyed by its content; ``False`` (a
+            # grid that builds its own) keeps the historical key.
+            prebuilt_hypergraph=(
+                False if hypergraph is None else hypergraph.to_arrays()
+            ),
         )
         spec = constraint_spec(constraints)
         if spec is not None:
             key_fields["constraints"] = spec
+        if solver_options:
+            key_fields["solver_options"] = solver_options
         key = content_key(**key_fields)
         store = CheckpointStore(checkpoint_dir, key)
 

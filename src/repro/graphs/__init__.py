@@ -1,7 +1,6 @@
 """Graph substrate: CSR digraphs, builders, generators, IO and edge weights."""
 
 from repro.graphs.build import GraphBuilder, from_edges
-from repro.graphs.communities import label_propagation_communities
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import (
     barabasi_albert,
@@ -47,7 +46,6 @@ __all__ = [
     "write_edge_list",
     "GraphStats",
     "describe",
-    "label_propagation_communities",
     "assign_weighted_cascade",
     "assign_constant_probabilities",
     "assign_trivalency_probabilities",

@@ -2,18 +2,19 @@
 
 Every fixed-θ solver pays for ``default_num_rr_sets`` = O(n log n)
 hyper-edges up front (Section 8's "predefined number"), even when far fewer
-samples already pin the objective down.  This module implements the
-IMM-style alternative for the *continuous* problem: sample in geometrically
-growing instalments, re-optimize the discount configuration after each one
-(a warm-started descent: by default coordinate descent), and stop as soon
-as either
+samples already pin the objective down.  This module is the library's
+one automatic-θ rule, adapted from IMM (Tang, Shi & Xiao, SIGMOD 2015)
+to the *continuous* problem: sample in geometrically growing
+instalments, re-optimize the discount configuration after each one (a
+warm-started descent: by default coordinate descent), and stop as soon as
+either
 
 * a Theorem-2-style relative-error bound certifies the incumbent UI(C)
   estimate to ``epsilon`` at confidence ``1 - delta``
   (:func:`relative_error_bound`), or
 * the incumbent objective value is *stable* across consecutive doublings
-  (a martingale stability test à la :mod:`repro.rrset.imm` — earlier
-  instalments are reused, never discarded).
+  (IMM's martingale argument: earlier instalments are reused, never
+  discarded).
 
 Determinism is inherited from the chunked sampling plan
 (:func:`repro.rrset.sampler.sample_rr_csr` with ``start_at``): instalment

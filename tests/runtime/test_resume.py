@@ -106,3 +106,45 @@ class TestResume:
         assert store.has_arrays("hypergraph")
         arrays = store.load_arrays("hypergraph")
         assert int(arrays["edge_offsets"].shape[0]) == GRID["num_hyperedges"] + 1
+
+    def test_changed_solver_options_recompute(self, tmp_path, small_problem):
+        """Solver options are part of the content key: a grid checkpointed
+        with the defaults never resumes under different options."""
+        default = run_methods(small_problem, ("cd",), checkpoint_dir=tmp_path, **GRID)
+        options = {"cd": {"max_rounds": 0, "refine_iterations": 0}}
+        fresh = run_methods(small_problem, ("cd",), solver_options=options, **GRID)
+        assert _payloads(fresh) != _payloads(default)
+
+        resumed = run_methods(
+            small_problem,
+            ("cd",),
+            checkpoint_dir=tmp_path,
+            resume=True,
+            solver_options=options,
+            **GRID,
+        )
+        assert _payloads(resumed) == _payloads(fresh)
+
+    def test_changed_prebuilt_hypergraph_recomputes(
+        self, tmp_path, small_problem, small_hypergraph
+    ):
+        """A passed hyper-graph is keyed by its content, not by its presence."""
+        other = small_problem.build_hypergraph(num_hyperedges=50, seed=99)
+        grid = dict(evaluation_samples=100, seed=4, checkpoint_dir=tmp_path)
+        first = run_methods(small_problem, ("cd",), hypergraph=small_hypergraph, **grid)
+        fresh = run_methods(
+            small_problem, ("cd",), hypergraph=other, evaluation_samples=100, seed=4
+        )
+        assert _payloads(fresh) != _payloads(first)
+
+        resumed = run_methods(
+            small_problem, ("cd",), hypergraph=other, resume=True, **grid
+        )
+        assert _payloads(resumed) == _payloads(fresh)
+        # The same hyper-graph finds its own cells again.
+        with FaultInjector(failures={"runner.cell": [0]}) as injector:
+            again = run_methods(
+                small_problem, ("cd",), hypergraph=small_hypergraph, resume=True, **grid
+            )
+        assert injector.count("runner.cell") == 0
+        assert _payloads(again) == _payloads(first)
