@@ -12,18 +12,19 @@ or, for bulk data, :func:`from_edges`.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import GraphError
 from repro.graphs.digraph import DiGraph
 from repro.obs.context import get_tracer
+from repro.utils import csr
+from repro.utils.spill import peak_rss_mb
 
-__all__ = ["GraphBuilder", "csr_from_arrays", "from_edges", "sorted_unique"]
+__all__ = ["GraphBuilder", "csr_from_arrays", "csr_from_parts", "from_edges", "sorted_unique"]
 
-#: Largest node count whose ids fit the CSR's ``int32`` targets; it also
-#: keeps the ``source * n + target`` sort keys inside ``int64``.
+#: Largest node count whose ids fit the CSR's ``int32`` targets.
 _MAX_NODES = np.iinfo(np.int32).max
 
 EdgeLike = Tuple[int, int]
@@ -133,42 +134,123 @@ def csr_from_arrays(
     Probabilities are taken as given; ids are checked, as
     :meth:`GraphBuilder.add_edge` checks them.
     """
-    with get_tracer().span("graphs.build") as span:
-        low = int(min(sources.min(), targets.min())) if sources.size else 0
-        high = int(max(sources.max(), targets.max())) if sources.size else -1
-        if low < 0:
-            raise GraphError(f"node ids must be non-negative, got {low}")
-        if num_nodes is None:
-            n = high + 1
-        elif high >= num_nodes:
-            raise GraphError(f"node id {high} exceeds fixed node count {num_nodes}")
-        else:
-            n = num_nodes
-        if n > _MAX_NODES:
-            raise GraphError(f"{n} nodes exceed the int32 target range")
+    low = int(min(sources.min(), targets.min())) if sources.size else 0
+    high = int(max(sources.max(), targets.max())) if sources.size else -1
+    if low < 0:
+        raise GraphError(f"node ids must be non-negative, got {low}")
+    if num_nodes is None:
+        n = high + 1
+    elif high >= num_nodes:
+        raise GraphError(f"node id {high} exceeds fixed node count {num_nodes}")
+    else:
+        n = num_nodes
+    if n > _MAX_NODES:
+        raise GraphError(f"{n} nodes exceed the int32 target range")
+    return csr_from_parts([(sources, targets, probs)], n, allow_self_loops=allow_self_loops)
 
-        # One key per edge: ascending ``source * n + target`` is the
-        # (source, target) order, and the stable sort keeps duplicates in
-        # insertion order, so the *last* of each group wins.
-        keys = sources * n + targets
+
+Part = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def csr_from_parts(
+    parts: List[Part],
+    num_nodes: int,
+    undirected: bool = False,
+    allow_self_loops: bool = False,
+) -> DiGraph:
+    """The :class:`DiGraph` of edge columns that arrive in parts.
+
+    Each part is ``(sources, targets, probs)`` with checked ids below
+    ``num_nodes``; parts and their rows are in insertion order, and of
+    duplicate edges the last one wins.  With ``undirected`` each row
+    adds ``(u, v)`` and then ``(v, u)``.  ``parts`` is emptied as it is
+    read.
+
+    Two stable scatters of the blocked transpose sort the edges by
+    ``(source, target)``, least significant key first: by target, then
+    by source, whose rows are the targets.  Each source's slice then
+    lists its targets ascending with duplicates in insertion order, and
+    the last of each run is kept.  No temporary scales with the edge
+    count beyond the two scatters' destinations.
+    """
+    n = num_nodes
+
+    def directed(part: Part) -> Part:
+        sources, targets, probs = part
         if not allow_self_loops:
             keep = sources != targets
-            keys, probs = keys[keep], probs[keep]
-        if keys.size:
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            last = np.empty(keys.size, dtype=bool)
-            last[-1] = True
-            np.not_equal(keys[:-1], keys[1:], out=last[:-1])
-            keys, probs = keys[last], probs[order[last]]
-            del order
-        sources, targets = np.divmod(keys, n) if n else (keys, keys)
+            if not keep.all():
+                sources, targets, probs = sources[keep], targets[keep], probs[keep]
+        if undirected:
+            both = np.empty(2 * sources.size, dtype=sources.dtype)
+            both[0::2], both[1::2] = sources, targets
+            sources, targets = both, both.reshape(-1, 2)[:, ::-1].reshape(-1)
+            probs = np.repeat(probs, 2)
+        return sources, targets, probs
 
-        out_degree = np.bincount(sources, minlength=n) if sources.size else np.zeros(n, dtype=np.int64)
-        out_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(out_degree, out=out_offsets[1:])
-        span.set(nodes=n, edges=int(targets.size))
-        return DiGraph(n, out_offsets, targets.astype(np.int32), probs)
+    with get_tracer().span("graphs.build") as span:
+        by_target = np.zeros(n + 1, dtype=np.int64)
+        for part in parts:
+            by_target += csr.column_offsets(directed(part)[1], n)
+        total = int(by_target[-1])
+        sources = np.empty(total, dtype=np.int32)
+        probs = np.empty(total, dtype=np.float64)
+        cursor = by_target[:-1].copy()
+        parts.reverse()
+        while parts:
+            part_sources, part_targets, part_probs = directed(parts.pop())
+            csr.transpose_into(
+                part_targets, cursor, values=[(part_sources, sources), (part_probs, probs)]
+            )
+        by_source = csr.column_offsets(sources, n)
+        out_targets = np.empty(total, dtype=np.int32)
+        out_probs = np.empty(total, dtype=np.float64)
+        csr.transpose_into(
+            sources,
+            by_source[:-1].copy(),
+            rows=(by_target, out_targets),
+            values=[(probs, out_probs)],
+        )
+        del sources, probs
+        out_offsets = _keep_last(by_source, out_targets, out_probs)
+        edges = int(out_offsets[-1])
+        if edges < total:
+            out_targets, out_probs = out_targets[:edges].copy(), out_probs[:edges].copy()
+        span.set(nodes=n, edges=edges)
+        graph = DiGraph(n, out_offsets, out_targets, out_probs)
+        span.note(peak_rss_mb=peak_rss_mb())
+        return graph
+
+
+def _keep_last(offsets: np.ndarray, targets: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Keep the last of each run of equal targets in each row, in place.
+
+    Kept entries move forward block by block, in order; returns the
+    compacted rows' offsets.
+    """
+    total = targets.size
+    kept = np.empty(offsets.size, dtype=np.int64)
+    write = 0
+    for lo in range(0, total, csr.BLOCK_ENTRIES):
+        hi = min(lo + csr.BLOCK_ENTRIES, total)
+        keep = np.ones(hi - lo, dtype=bool)
+        np.not_equal(targets[lo : hi - 1], targets[lo + 1 : hi], out=keep[:-1])
+        if hi < total:
+            keep[-1] = targets[hi - 1] != targets[hi]
+        # The entry before a row's first one ends its own row.
+        first, last = np.searchsorted(offsets, [lo, hi], "right")
+        keep[offsets[first:last] - 1 - lo] = True
+        before = np.zeros(hi - lo + 1, dtype=np.int64)
+        np.cumsum(keep, out=before[1:])
+        # Rows that start in this block start after the kept entries before them.
+        first, last = np.searchsorted(offsets, [lo, hi])
+        kept[first:last] = write + before[offsets[first:last] - lo]
+        if write != lo or before[-1] != hi - lo:
+            targets[write : write + before[-1]] = targets[lo:hi][keep]
+            probs[write : write + before[-1]] = probs[lo:hi][keep]
+        write += int(before[-1])
+    kept[np.searchsorted(offsets, total) :] = write
+    return kept
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:

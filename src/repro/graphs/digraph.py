@@ -21,14 +21,15 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from repro.exceptions import GraphError, NodeNotFoundError
+from repro.utils.csr import column_offsets, transpose_into
 from repro.utils.spill import empty_array, is_spill_backed, pack_array, unpack_array
 
 __all__ = ["DiGraph"]
 
-#: Edge-array validation and scan chunk (entries, not bytes): large enough
-#: to amortize numpy call overhead, small enough that per-chunk transients
-#: stay a few tens of MB even for multi-hundred-million-edge graphs.
-_SCAN_CHUNK = 1 << 22
+#: Edge-array validation chunk (entries, not bytes): large enough to
+#: amortize numpy call overhead, small enough that the per-chunk masks
+#: stay near a megabyte, like the blocks of the transpose that follows.
+_SCAN_CHUNK = 1 << 18
 
 
 class DiGraph:
@@ -215,32 +216,27 @@ class DiGraph:
     def _build_in_adjacency(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Derive the transpose adjacency from the out-CSR arrays.
 
-        Destinations inherit the out-arrays' backing: a graph whose CSR
-        lives in spill files gets spill-backed transpose arrays too, so
-        constructing it never doubles heap RSS.  (The ``argsort`` scratch
-        is still an m-sized heap array; the streaming generator and
-        :func:`repro.graphs.io.load_csr` avoid this method entirely for
-        the graphs where that would matter.)
+        The blocked transpose of :mod:`repro.utils.csr` keeps sources
+        ascending within each in-neighbor slice, as a stable argsort of
+        the targets would, with temporaries bounded by its block and
+        ``n``.  Destinations inherit the out-arrays' backing: a graph
+        whose CSR lives in spill files gets spill-backed transpose arrays
+        too, so constructing it never doubles heap RSS.
         """
-        n = self.num_nodes
         backing = "mmap" if is_spill_backed(self.out_targets) else None
-        in_degree = np.bincount(self.out_targets, minlength=n).astype(np.int64)
-        in_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(in_degree, out=in_offsets[1:])
-        sources = np.repeat(
-            np.arange(n, dtype=np.int32), np.diff(self.out_offsets).astype(np.int64)
-        )
-        # Stable sort groups edges by target while keeping sources ordered,
-        # so each in-neighbor slice comes out sorted as well.
-        order = np.argsort(self.out_targets, kind="stable")
+        in_offsets = column_offsets(self.out_targets, self.num_nodes)
         in_sources = empty_array(
             self.num_edges, np.int32, backing=backing, name_hint="in-sources"
         )
         in_probs = empty_array(
             self.num_edges, np.float64, backing=backing, name_hint="in-probs"
         )
-        np.take(sources, order, out=in_sources)
-        np.take(self.out_probs, order, out=in_probs)
+        transpose_into(
+            self.out_targets,
+            in_offsets[:-1].copy(),
+            rows=(self.out_offsets, in_sources),
+            values=[(self.out_probs, in_probs)],
+        )
         return in_offsets, in_sources, in_probs
 
     # ------------------------------------------------------------------

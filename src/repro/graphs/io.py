@@ -16,16 +16,18 @@ copies and round-trips spill-backed graphs exactly.
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import GraphError
-from repro.graphs.build import csr_from_arrays
+from repro.graphs.build import _MAX_NODES, csr_from_parts, sorted_unique
 from repro.graphs.digraph import DiGraph
 from repro.obs.context import get_tracer
+from repro.utils.spill import peak_rss_mb
 
 __all__ = ["read_edge_list", "write_edge_list", "save_csr", "load_csr"]
 
@@ -70,23 +72,26 @@ def read_edge_list(
         raise GraphError("default_probability must lie in [0, 1]")
     id_map: Optional[Dict[int, int]] = None
     with get_tracer().span("graphs.read", undirected=undirected, relabel=relabel) as span:
-        columns = _columns(path, default_probability)
-        span.set(reader="columns" if columns is not None else "lines")
-        if columns is None:
-            columns, id_map = _line_columns(path, default_probability, relabel)
-        ids, probs, lines = columns
-        del columns  # relabelling replaces ids; free the parsed copy
-        _check_values(path, ids, probs, lines, relabel)
+        parts = _columns(path, default_probability, relabel)
+        span.set(reader="columns" if parts is not None else "lines")
+        if parts is None:
+            (ids, probs, lines), id_map = _line_columns(path, default_probability, relabel)
+            _check_values(path, ids, probs, lines, relabel)
+            parts = [(ids.reshape(-1), probs)]
+            del ids, probs, lines
+        rows = sum(probs.size for _, probs in parts)
         if relabel and id_map is None:
-            dense, originals = _first_appearance(ids.ravel())
-            ids = dense.reshape(ids.shape)
-        if undirected:
-            # Each line adds (u, v) then (v, u), as two builder calls did.
-            sources, targets, probs = ids.ravel(), ids[:, ::-1].ravel(), np.repeat(probs, 2)
-        else:
-            sources, targets = ids[:, 0], ids[:, 1]
-        graph = csr_from_arrays(sources, targets, probs)
-        span.set(rows=int(lines.size), nodes=graph.num_nodes, edges=graph.num_edges)
+            originals = _first_appearance([pairs for pairs, _ in parts])
+        n = max((int(pairs.max()) + 1 for pairs, _ in parts if pairs.size), default=0)
+        if n > _MAX_NODES:
+            raise GraphError(f"{n} nodes exceed the int32 target range")
+        # Ids below n fit int32; the build empties the list as it goes,
+        # freeing each window.
+        for i, (pairs, probs) in enumerate(parts):
+            parts[i] = (pairs[0::2].astype(np.int32), pairs[1::2].astype(np.int32), probs)
+        graph = csr_from_parts(parts, n, undirected)
+        span.set(rows=rows, nodes=graph.num_nodes, edges=graph.num_edges)
+        span.note(peak_rss_mb=peak_rss_mb())
     if not relabel:
         id_map = {i: i for i in range(graph.num_nodes)}
     elif id_map is None:
@@ -94,33 +99,84 @@ def read_edge_list(
     return graph, id_map
 
 
+#: Bytes of the file scanned per window: bounds every per-byte and
+#: per-token temporary of the columnar reader.
+_WINDOW_BYTES = 1 << 18
 #: Longest probability token the columnar reader converts (an exact
 #: float repr needs at most 24 characters).
 _MAX_FLOAT_WIDTH = 32
-#: Probabilities converted per block: bounds the padded token matrix.
-_ROW_BLOCK = 1 << 16
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
+#: One window's rows: the ``u v`` ids flattened (``u0 v0 u1 v1 ...``)
+#: and the probabilities.
+Rows = Tuple[np.ndarray, np.ndarray]
 
 
-def _columns(path: Path, default_probability: float) -> Optional[Columns]:
-    """Parse the edge list in numpy: ``(ids, probs, lines)``, or ``None``.
+def _columns(path: Path, default_probability: float, relabel: bool = True) -> Optional[List[Rows]]:
+    """Parse the edge list in numpy, one window of whole lines at a time.
 
-    ``ids`` is an ``(rows, 2)`` int64 array of the file's ``u v`` pairs,
-    ``probs`` the third column or ``default_probability``, and ``lines``
-    each row's 1-based line number.  ``None`` hands the file to the line
-    reader, which names the offending line: a line with a token count
-    other than 0, 2 or 3, an id that ``np.loadtxt`` rejects (anything
-    but a plain decimal inside int64), an unparsable probability, or a
-    byte outside printable ASCII and whitespace.
+    Returns each window's :data:`Rows`, or ``None`` to hand the file to
+    the line reader, which names the offending line: a line with a
+    token count other than 0, 2 or 3, an id that ``np.loadtxt`` rejects
+    (anything but a plain decimal inside int64), an unparsable
+    probability, or a byte outside printable ASCII and whitespace.
+    Every window that parses is value-checked at once
+    (:func:`_check_values`): the windows before it parsed too, so its
+    first bad row is the first one of the file, as the line reader
+    would report it.
     """
-    buf = np.fromfile(path, dtype=np.uint8)
+    parts: List[Rows] = []
+    lines_before = 0
+    for window in _windows(path):
+        parsed = _window_columns(window, default_probability)
+        if parsed is None:
+            return None
+        ids, probs, rows, line_ends = parsed
+        rows += lines_before + 1
+        _check_values(path, ids, probs, rows, relabel)
+        parts.append((ids.reshape(-1), probs))
+        lines_before += line_ends
+    return parts
+
+
+def _windows(path: Path) -> Iterator[np.ndarray]:
+    """The file's bytes in windows of whole lines, about ``_WINDOW_BYTES`` each.
+
+    A window ends after a ``\\n`` or a lone ``\\r``; a ``\\r`` that ends a
+    read may be the first half of ``\\r\\n``, so it waits for the next.
+    """
+    carry = b""
+    with path.open("rb") as handle:
+        while True:
+            chunk = handle.read(_WINDOW_BYTES)
+            data = carry + chunk
+            if not chunk:
+                if data:
+                    yield np.frombuffer(data, dtype=np.uint8)
+                return
+            limit = len(data) - (data[-1] == 13)
+            cut = max(data.rfind(b"\n", 0, limit), data.rfind(b"\r", 0, limit)) + 1
+            if cut:
+                yield np.frombuffer(data, dtype=np.uint8, count=cut)
+            carry = data[cut:]
+
+
+def _window_columns(
+    buf: np.ndarray, default_probability: float
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+    """``(ids, probs, rows, line_ends)`` of one window, or ``None``.
+
+    ``ids`` is an ``(rows, 2)`` int64 array of the window's ``u v``
+    pairs, ``probs`` the third column or ``default_probability``,
+    ``rows`` each row's 0-based line in the window, and ``line_ends``
+    the number of line ends in it.
+    """
     # Bytes 9-13 and 28-32 are what str.split() takes for whitespace.  Any
     # other control byte, or a byte past printable ASCII (Unicode
     # whitespace and digits, UTF-8 errors), leaves the file to the line
     # reader, which keeps Python's exact semantics for it.
-    if buf.size and (buf.max() > 126 or np.any(buf < 9) or np.any((buf > 13) & (buf < 28))):
+    if buf.max() > 126 or np.any(buf < 9) or np.any((buf > 13) & (buf < 28)):
         return None
     starts, stops, ends = _tokens(buf)
     before_end = np.searchsorted(starts, ends)  # tokens before each line end
@@ -133,30 +189,27 @@ def _columns(path: Path, default_probability: float) -> Optional[Columns]:
     del before_end, per_line
 
     if rows.size:
-        # numpy's C parser reads the two id columns of every row (the
-        # file's second read, from the page cache); the token counts
-        # above already hold every line to 0, 2 or 3 tokens.
+        # numpy's C parser reads the two id columns of every row; the
+        # token counts above already hold every line to 0, 2 or 3 tokens.
+        text = io.StringIO(buf.tobytes().decode("ascii"), newline=None)
         try:
-            ids = np.loadtxt(
-                path, dtype=np.int64, comments="#", usecols=(0, 1), ndmin=2, encoding="ascii"
-            )
+            ids = np.loadtxt(text, dtype=np.int64, comments="#", usecols=(0, 1), ndmin=2)
         except ValueError:
             return None
         if ids.shape[0] != rows.size:
             return None
     else:
         ids = np.empty((0, 2), dtype=np.int64)
-    probs = np.full(rows.size, default_probability, dtype=np.float64)
-    given = np.empty(third.size, dtype=np.float64)
-    for lo in range(0, third.size, _ROW_BLOCK):
-        block = third[lo : lo + _ROW_BLOCK]
-        parsed = _float_tokens(buf, starts[block], stops[block])
-        if parsed is None:
+    # A window without a probability column keeps no per-row copy of the
+    # default: a read-only broadcast stands in for it.
+    probs = np.broadcast_to(np.float64(default_probability), rows.shape)
+    if third.size:
+        given = _float_tokens(buf, starts[third], stops[third])
+        if given is None:
             return None
-        given[lo : lo + _ROW_BLOCK] = parsed
-    probs[three] = given
-    rows += 1
-    return ids, probs, rows
+        probs = probs.copy()
+        probs[three] = given
+    return ids, probs, rows, ends.size - 1
 
 
 def _tokens(buf: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,8 +244,6 @@ def _tokens(buf: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     np.not_equal(token[1:], token[:-1], out=flips[1:-1])
     del token
     bounds = np.flatnonzero(flips)
-    if size < np.iinfo(np.int32).max:
-        bounds = bounds.astype(np.int32)  # halves the largest array of a read
     return bounds[0::2], bounds[1::2], ends
 
 
@@ -284,28 +335,60 @@ def _check_values(
         )
 
 
-def _first_appearance(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Dense ids in order of first appearance, and the distinct originals in that order.
+def _first_appearance(blocks: List[np.ndarray]) -> np.ndarray:
+    """Renumber ids densely in order of first appearance, in place.
 
-    One stable sort groups equal ids with their earliest position first;
-    ranking the groups by that position numbers them as a running
-    ``dict`` would.
+    ``blocks`` hold the ids in file order; each is rewritten with the
+    dense ids, and the distinct originals come back in that order.  An
+    id's slot is its offset from the smallest id when the ids span no
+    more values than there are ids, else its rank among the distinct
+    ids.  The earliest position of each slot ranks the slots as a
+    running ``dict`` would number them.  Temporaries scale with a block
+    and the slot count, not with the file.
     """
-    order = np.argsort(ids, kind="stable")
-    ordered = ids[order]
-    head = np.ones(ids.size, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
-    distinct = ordered[head]
-    del ordered
-    seen_at = order[head]
-    by_appearance = np.argsort(seen_at)
-    rank = np.empty(seen_at.size, dtype=np.int64)
-    rank[by_appearance] = np.arange(seen_at.size)
-    group = np.cumsum(head)
-    group -= 1
-    dense = np.empty(ids.size, dtype=np.int64)
-    dense[order] = np.take(rank, group, out=group)
-    return dense, distinct[by_appearance]
+    blocks = [block for block in blocks if block.size]
+    if not blocks:
+        return np.empty(0, dtype=np.int64)
+    low = min(int(block.min()) for block in blocks)
+    high = max(int(block.max()) for block in blocks)
+    total = sum(block.size for block in blocks)
+    distinct = _sorted_distinct(blocks) if high - low >= total else None
+    slots = high - low + 1 if distinct is None else distinct.size
+    unseen = np.iinfo(np.int64).max
+    first = np.full(slots, unseen)
+    position = 0
+    for block in blocks:
+        if distinct is None:
+            block -= low
+        else:
+            block[:] = np.searchsorted(distinct, block)
+        np.minimum.at(first, block, np.arange(position, position + block.size))
+        position += block.size
+    seen = np.flatnonzero(first != unseen)
+    by_appearance = seen[np.argsort(first[seen])]
+    del first, seen
+    dense = np.empty(slots, dtype=np.int64)
+    dense[by_appearance] = np.arange(by_appearance.size)
+    for block in blocks:
+        block[:] = dense[block]
+    return by_appearance + low if distinct is None else distinct[by_appearance]
+
+
+def _sorted_distinct(blocks: List[np.ndarray]) -> np.ndarray:
+    """The ascending distinct values of ``blocks``.
+
+    Each block's distinct values wait until they outnumber the merged
+    ones, so every value is merged O(log) times and no merge copies the
+    whole stream.
+    """
+    distinct = np.empty(0, dtype=np.int64)
+    pending: List[np.ndarray] = []
+    for block in blocks:
+        pending.append(sorted_unique(block.copy()))
+        if sum(p.size for p in pending) >= distinct.size:
+            distinct = sorted_unique(np.concatenate([distinct, *pending]))
+            pending = []
+    return sorted_unique(np.concatenate([distinct, *pending]))
 
 
 def write_edge_list(

@@ -160,6 +160,10 @@ def _sort_unique_spill(
     bucket_starts = np.zeros(num_coarse + 1, dtype=np.int64)
     np.cumsum(coarse_counts, out=bucket_starts[1:])
     cursors = bucket_starts[:-1].copy()
+    # A stable sort's permutation is unique, so bucket ids cast to the
+    # narrowest unsigned dtype that holds them sort in the same order,
+    # through numpy's radix sort when that dtype has 8 or 16 bits.
+    coarse_of_fine = coarse_of_fine.astype(np.min_scalar_type(num_coarse - 1))
 
     for index, start in enumerate(range(0, count, chunk)):
         block = np.asarray(keys[start : start + chunk][: count - start])

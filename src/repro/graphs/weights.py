@@ -26,8 +26,9 @@ __all__ = [
     "assign_trivalency_probabilities",
 ]
 
-#: Edges per gather/repeat step of :func:`assign_weighted_cascade`.
-_CHUNK = 1 << 23
+#: Edges per gather/repeat step of :func:`assign_weighted_cascade`: its
+#: temporaries span one step, as the blocks of the CSR transpose do.
+_CHUNK = 1 << 16
 
 
 def assign_weighted_cascade(graph: DiGraph, alpha: float = 1.0) -> DiGraph:

@@ -9,12 +9,14 @@ container stores both directions in CSR form:
 so that coverage algorithms (which expand nodes) and estimators (which scan
 hyper-edges) both get contiguous slices.
 
-Both directions are assembled by whole-array numpy passes — a single
-``concatenate`` for the member stream, ``repeat`` + stable ``argsort`` for
-the inverted index — with no per-edge Python assignment; the reference
-per-edge loop is kept as a test oracle (``reference_csr_build``, under
-``tests/rrset/``) and benchmarked against this path by
-``benchmarks/test_cd_kernel.py``.
+Both directions are assembled by numpy passes with no per-edge Python
+assignment: a single ``concatenate`` for the member stream, and the
+blocked, stable transpose of :mod:`repro.utils.csr` for the inverted
+index, whose temporaries are bounded by its block and ``num_nodes``;
+an :meth:`RRHypergraph.extend_csr` append moves the existing slices up
+and transposes only the new members.  The reference per-edge loop is
+kept as a test oracle (``reference_csr_build``, under ``tests/rrset/``)
+and benchmarked against this path by ``benchmarks/test_cd_kernel.py``.
 
 Key property (polling framework): for a fixed number of hyper-edges
 ``theta``, ``n * deg_H(S) / theta`` is an unbiased estimator of the
@@ -23,8 +25,8 @@ influence spread ``I(S)``.
 Storage dtypes follow the compact policy of :mod:`repro.rrset.storage`:
 members are ``uint8``/``uint32``, offsets and edge ids ``uint32`` until
 their totals demand ``int64`` (explicit widening, never a silent
-upcast).  Scratch index arrays on the append path stay at the policy's
-offset width too, so peak memory tracks the narrowed arrays.  All
+upcast).  Scratch index arrays span one transpose block, never the
+stream, so peak memory tracks the narrowed arrays.  All
 public accessors (``degrees``, ``coverage``…) are dtype-agnostic;
 ``degrees`` always returns ``int64`` so callers can negate it.
 """
@@ -42,8 +44,9 @@ from repro.obs.context import get_metrics, get_tracer
 from repro.rrset.sampler import sample_rr_csr
 from repro.rrset.storage import DtypePolicy
 from repro.runtime.deadline import DeadlineLike
+from repro.utils.csr import column_offsets, move_slices, transpose_into
 from repro.utils.rng import SeedLike
-from repro.utils.spill import empty_array, is_spill_backed
+from repro.utils.spill import empty_array, is_spill_backed, peak_rss_mb
 
 __all__ = ["RRHypergraph", "csr_offsets"]
 
@@ -130,28 +133,21 @@ class RRHypergraph:
         self.edge_offsets = np.asarray(edge_offsets, dtype=policy.offsets)
         self.edge_nodes = np.asarray(edge_nodes, dtype=policy.members)
 
-        # Inverted index: node -> hyper-edge ids containing it.  Stable
-        # argsort of the member stream groups positions by node while
-        # keeping hyper-edge ids ascending within each node's slice.
-        # The destination inherits the member stream's backing (a
-        # spill-backed assembly gets a spill-backed inverted index); the
-        # repeat/argsort scratch stays on the heap — the hyper-graph
-        # member stream is small next to the graph it samples from.
+        # Inverted index: node -> hyper-edge ids containing it, ids
+        # ascending within each node's slice.  The destination inherits
+        # the member stream's backing (a spill-backed assembly gets a
+        # spill-backed inverted index); the blocked transpose's scratch
+        # is bounded by its block and ``num_nodes``.
         backing = "mmap" if is_spill_backed(self.edge_nodes) else None
-        degree = np.bincount(self.edge_nodes, minlength=num_nodes)
-        node_offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(degree, out=node_offsets[1:])
+        node_offsets = column_offsets(self.edge_nodes, num_nodes)
         self.node_offsets = node_offsets.astype(policy.offsets, copy=False)
-        sizes = np.diff(np.asarray(edge_offsets, dtype=np.int64))
-        edge_ids = np.repeat(
-            np.arange(self.num_hyperedges, dtype=policy.edge_ids), sizes
-        )
-        order = np.argsort(self.edge_nodes, kind="stable")
         self.node_edges = empty_array(
             int(edge_nodes.size), policy.edge_ids, backing=backing,
             name_hint="node-edges",
         )
-        np.take(edge_ids, order, out=self.node_edges)
+        transpose_into(
+            self.edge_nodes, node_offsets[:-1].copy(), rows=(edge_offsets, self.node_edges)
+        )
 
         # Lazily allocated scratch for stamp-based coverage counting.
         self._cover_stamp = None
@@ -238,16 +234,14 @@ class RRHypergraph:
         the edge-direction CSR is extended by concatenation, and the
         inverted index is *merged* rather than re-derived — new hyper-edge
         ids all exceed the existing ones, so each node's incident slice is
-        its old slice followed by its slice of the (sorted) new member
-        stream, exactly what the stable argsort of a full rebuild yields.
-        Cost is ``O(existing + new)`` array copies plus a sort of the new
-        members only, versus a full ``O(total log total)`` argsort.
+        its old slice followed by its new incident ids in stream order,
+        exactly what a full rebuild yields.  Cost is ``O(existing + new)``
+        array copies plus the blocked transpose of the new members only;
+        both run in blocks, so no temporary spans the old stream.
 
         The dtype policy is re-chosen from the *extended* totals, so the
         stored arrays stay at the narrowest safe width and widen exactly
-        when a total crosses a capacity cap; destination scratch arrays
-        use the policy's offset width too (position totals fit it by
-        construction), never a silent ``int64``.
+        when a total crosses a capacity cap.
         """
         new_sizes = np.asarray(new_sizes, dtype=np.int64)
         new_nodes = np.asarray(new_nodes)
@@ -303,46 +297,27 @@ class RRHypergraph:
             edge_nodes[old_stream:] = new_nodes
             out.edge_nodes = edge_nodes
 
-            # Merged inverted index.  Node v's final slice starts at
-            # old_offsets[v] shifted by the new members of nodes < v; its
-            # old incident ids land first, then its new ids in stream
-            # (= ascending hyper-edge id) order.
+            # Merged inverted index.  Node v's final slice holds its old
+            # incident ids, then its new ids in stream (= ascending
+            # hyper-edge id) order: the old slices move up by the new
+            # members of nodes < v, block by block, and the transpose
+            # kernel appends the new members behind them.
             n = self.num_nodes
-            new_degree = np.bincount(edge_nodes[old_stream:], minlength=n)
-            old_counts = np.diff(np.asarray(self.node_offsets, dtype=np.int64))
-            node_offsets64 = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(old_counts + new_degree, out=node_offsets64[1:])
+            old_offsets64 = np.asarray(self.node_offsets, dtype=np.int64)
+            node_offsets64 = column_offsets(edge_nodes[old_stream:], n)
+            node_offsets64 += old_offsets64
             out.node_offsets = node_offsets64.astype(policy.offsets, copy=False)
             node_edges = empty_array(
                 total_members, policy.edge_ids, backing=backing,
                 name_hint="node-edges",
             )
-            if old_stream:
-                # Destinations are positions below total_members, so the
-                # offset width holds them exactly.
-                shift = node_offsets64[:-1] - np.asarray(
-                    self.node_offsets[:-1], dtype=np.int64
-                )
-                dest_old = np.arange(old_stream, dtype=policy.offsets)
-                dest_old += np.repeat(
-                    shift.astype(policy.offsets, copy=False), old_counts
-                )
-                node_edges[dest_old] = self.node_edges
-            if new_nodes.size:
-                new_edge_ids = np.repeat(
-                    np.arange(old_m, out.num_hyperedges, dtype=policy.edge_ids),
-                    new_sizes,
-                )
-                order = np.argsort(edge_nodes[old_stream:], kind="stable")
-                new_group_starts = np.zeros(n, dtype=np.int64)
-                np.cumsum(new_degree[:-1], out=new_group_starts[1:])
-                start_dest = node_offsets64[:-1] + old_counts
-                dest_new = np.arange(new_nodes.size, dtype=policy.offsets)
-                dest_new += np.repeat(
-                    (start_dest - new_group_starts).astype(policy.offsets, copy=False),
-                    new_degree,
-                )
-                node_edges[dest_new] = new_edge_ids[order]
+            move_slices(old_offsets64, node_offsets64, self.node_edges, node_edges)
+            transpose_into(
+                edge_nodes,
+                node_offsets64[:-1] + np.diff(old_offsets64),
+                rows=(offsets64, node_edges),
+                start=old_stream,
+            )
             out.node_edges = node_edges
             out._cover_stamp = None
             out._cover_epoch = 0
@@ -368,8 +343,9 @@ class RRHypergraph:
         so callers must not mutate them afterwards.
         """
         self = cls.__new__(cls)
-        with get_tracer().span("hypergraph.index"):
+        with get_tracer().span("hypergraph.index") as span:
             self._init_from_csr(int(num_nodes), edge_offsets, edge_nodes)
+            span.note(peak_rss_mb=peak_rss_mb())
         return self
 
     # ------------------------------------------------------------------

@@ -70,7 +70,10 @@ def _canonical(value) -> object:
         return [_canonical(v) for v in value]
     if isinstance(value, np.ndarray):
         # dtype + shape + raw bytes: two arrays hash equal iff identical.
-        digest = hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()
+        # sha256 reads a C-contiguous array through the buffer protocol,
+        # so a contiguous array (a memmap included) is hashed in place;
+        # only a strided view is copied, as ``tobytes`` would copy it.
+        digest = hashlib.sha256(np.ascontiguousarray(value)).hexdigest()
         return {"__ndarray__": [str(value.dtype), list(value.shape), digest]}
     if isinstance(value, (np.integer,)):
         return int(value)

@@ -7,14 +7,17 @@ including when a deadline truncates the run and when a checkpointed grid
 is resumed.  (Pattern follows ``tests/parallel/test_determinism.py``.)
 """
 
+import numpy as np
 import pytest
 
 from repro.core.solvers import solve
 from repro.exceptions import PartialResultWarning
+from repro.graphs.io import read_edge_list
 from repro.experiments.runner import run_methods
 from repro.obs.context import observe
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
+from repro.rrset.hypergraph import RRHypergraph
 from repro.rrset.sampler import sample_rr_csr, sample_rr_sets
 from repro.runtime import Deadline, ManualClock
 
@@ -168,6 +171,25 @@ class TestSolveTelemetry:
         solver = [child for child in root.children if child.name == span]
         assert len(solver) == 1
         assert solver[0].runtime["peak_rss_mb"] > 0
+        assert "peak_rss_mb" not in str(tracer.canonical())
+
+    def test_ingest_and_index_spans_note_peak_rss(self, tmp_path):
+        """Read, build and index note the high-water mark; canonical is unchanged."""
+        path = tmp_path / "edges.txt"
+        path.write_text("0 1\n1 2\n2 0\n")
+        tracer = Tracer()
+        with observe(tracer=tracer, metrics=MetricsRegistry(), merge_up=False):
+            graph, _ = read_edge_list(path)
+            RRHypergraph.from_csr(graph.num_nodes, np.array([0, 2, 3]), np.array([0, 1, 2]))
+        read, index = tracer.roots
+        (build,) = read.children
+        assert [span.name for span in (read, build, index)] == [
+            "graphs.read",
+            "graphs.build",
+            "hypergraph.index",
+        ]
+        for span in (read, build, index):
+            assert span.runtime["peak_rss_mb"] > 0
         assert "peak_rss_mb" not in str(tracer.canonical())
 
     def test_history_independent_extras_metrics(self, obs_problem):

@@ -1,9 +1,10 @@
 """Graph ingest is bit-identical to the per-edge path it replaced.
 
-``read_edge_list`` parses plain-ASCII files in columns with numpy and
-hands the arrays to ``csr_from_arrays``, whose one-key stable sort
-replaced ``np.lexsort``; the streamed and in-heap configuration models
-dedup with ``sorted_unique`` instead of ``np.unique``.  These properties
+``read_edge_list`` parses plain-ASCII files in columns with numpy, one
+window of lines at a time, and hands them to the builder, whose two
+stable scatters replaced ``np.lexsort``; the streamed and in-heap
+configuration models dedup with ``sorted_unique`` instead of
+``np.unique``.  These properties
 pin each against its predecessor, copied here as an oracle: the line
 loop that fed ``GraphBuilder.add_edge`` one edge at a time, the lexsort
 finalisation, and ``np.unique``.  Graph arrays, the id map (in order)
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from repro.exceptions import GraphError
 from repro.graphs.build import GraphBuilder, sorted_unique
 from repro.graphs.digraph import DiGraph
+from repro.graphs import io as graph_io
 from repro.graphs.io import _columns, read_edge_list
 from repro.graphs.streaming import _sort_unique_spill
 
@@ -263,6 +265,28 @@ class TestReadEdgeList:
     def test_exotic_syntax_keeps_python_semantics(self, tmp_path, text, options):
         _compare(_write(tmp_path, text), **options)
 
+    @INGEST
+    @given(
+        text=edge_list_texts(
+            line=st.one_of(edge_lines(), edge_lines(ids=SMALL_IDS), BAD_LINES, COMMENTS)
+        ),
+        options=READ_OPTIONS,
+        window=st.integers(min_value=1, max_value=48),
+    )
+    def test_windows_of_any_size_read_as_the_line_loop(
+        self, tmp_path, monkeypatch, text, options, window
+    ):
+        # Windows this small split \r\n pairs, end on a lone \r, hold
+        # part of a line or none, and put the first bad row in a later
+        # window than the first row.
+        if not options["relabel"]:
+            # Identity ids: keep the node count small.
+            text = "".join(
+                line for line in text.splitlines(keepends=True) if len(line.split("#")[0]) < 12
+            )
+        monkeypatch.setattr(graph_io, "_WINDOW_BYTES", window)
+        _compare(_write(tmp_path, text), **options)
+
     def test_large_sparse_ids_relabel_in_first_appearance_order(self, tmp_path):
         path = _write(tmp_path, f"# header\n{10**17} 5\n5 7 0.25\n7 5\n")
         graph, id_map = _compare(path)
@@ -373,3 +397,37 @@ class TestSortedUnique:
         spill = tmp_path_factory.mktemp("spill")
         deduped, count = _sort_unique_spill(keys.copy(), keys.size, n, spill, chunk, bucket_entries)
         assert np.array_equal(np.asarray(deduped[:count]), np.unique(keys))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=20, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        chunk=st.integers(min_value=50, max_value=700),
+    )
+    def test_external_sort_over_hundreds_of_buckets_equals_np_unique(
+        self, tmp_path_factory, n, seed, chunk
+    ):
+        # One entry per bucket: more than 256 buckets, so the bucket ids
+        # sort as uint16 rather than uint8.
+        rng = np.random.default_rng(seed)
+        keys = rng.integers(0, n * n, size=int(rng.integers(300, 900)))
+        spill = tmp_path_factory.mktemp("spill")
+        deduped, count = _sort_unique_spill(keys.copy(), keys.size, n, spill, chunk, 1)
+        assert np.array_equal(np.asarray(deduped[:count]), np.unique(keys))
+
+
+class TestBucketIdNarrowing:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        num_buckets=st.sampled_from([1, 2, 9, 255, 256, 257, 65536, 65537, 100_000]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        size=st.integers(min_value=0, max_value=3000),
+    )
+    def test_narrow_stable_argsort_equals_the_int64_one(self, num_buckets, seed, size):
+        # _sort_unique_spill casts its bucket ids to the narrowest
+        # unsigned dtype that holds them; a stable sort's permutation is
+        # unique, so the order must not change.
+        ids = np.random.default_rng(seed).integers(0, num_buckets, size=size)
+        narrow = ids.astype(np.min_scalar_type(num_buckets - 1))
+        assert narrow.dtype.itemsize <= 4
+        assert np.array_equal(np.argsort(narrow, kind="stable"), np.argsort(ids, kind="stable"))

@@ -1,6 +1,8 @@
 """Unit tests for atomic checkpoint storage and content keys."""
 
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from repro.core.problem import CIMProblem
 from repro.exceptions import CheckpointError, CurveError
 from repro.io.serialization import atomic_write_text
 from repro.runtime import CheckpointStore, content_key
-from repro.runtime.checkpoint import problem_fingerprint
+from repro.runtime.checkpoint import _canonical, problem_fingerprint
 
 
 class TestContentKey:
@@ -43,6 +45,42 @@ class TestContentKey:
     def test_unhashable_inputs_rejected(self):
         with pytest.raises(CheckpointError, match="Generator"):
             content_key(seed=np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.arange(12, dtype=np.int64).reshape(3, 4),
+            np.array(2.5),
+            np.array([True, False, True]),
+            np.empty((0, 3)),
+            np.arange(20, dtype=np.int32)[::3],
+            np.arange(6, dtype=np.float32).reshape(2, 3).T,
+        ],
+        ids=["2-d", "0-d", "bool", "empty", "strided", "transposed"],
+    )
+    def test_array_digest_is_the_sha256_of_its_bytes(self, array):
+        # The digest stays the one the ``tobytes`` copy gave, so every
+        # key written before keeps matching.
+        dtype, shape, digest = _canonical(array)["__ndarray__"]
+        assert (dtype, shape) == (str(array.dtype), list(array.shape))
+        expected = hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+        assert digest == expected
+
+    def test_memmap_digest_equals_heap_digest(self, tmp_path):
+        heap = np.arange(1000, dtype=np.float64)
+        mapped = np.memmap(tmp_path / "a.bin", dtype=np.float64, mode="w+", shape=heap.shape)
+        mapped[:] = heap
+        assert content_key(x=mapped) == content_key(x=heap)
+
+    def test_large_array_is_hashed_without_a_copy(self):
+        array = np.arange(4 << 20, dtype=np.int64)  # 32 MiB
+        tracemalloc.start()
+        try:
+            content_key(x=array)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < array.nbytes // 64
 
 
 class TestCheckpointStore:
