@@ -12,7 +12,7 @@ or, for bulk data, :func:`from_edges`.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -171,7 +171,11 @@ def csr_from_parts(
     by source, whose rows are the targets.  Each source's slice then
     lists its targets ascending with duplicates in insertion order, and
     the last of each run is kept.  No temporary scales with the edge
-    count beyond the two scatters' destinations.
+    count beyond the two scatters' destinations.  The first pass counts
+    each part's targets in place, and :func:`csr.column_offsets`
+    batches them, so many small parts cost no pass over all ``n``
+    counts each; the directed arrays of a part are built once, for its
+    scatter.
     """
     n = num_nodes
 
@@ -188,10 +192,19 @@ def csr_from_parts(
             probs = np.repeat(probs, 2)
         return sources, targets, probs
 
+    def targets_of(parts: List[Part]) -> Iterator[np.ndarray]:
+        # The targets of each directed(part), in some order: enough to count them.
+        for sources, targets, _ in parts:
+            if not allow_self_loops:
+                keep = sources != targets
+                if not keep.all():
+                    sources, targets = sources[keep], targets[keep]
+            yield targets
+            if undirected:
+                yield sources
+
     with get_tracer().span("graphs.build") as span:
-        by_target = np.zeros(n + 1, dtype=np.int64)
-        for part in parts:
-            by_target += csr.column_offsets(directed(part)[1], n)
+        by_target = csr.column_offsets(targets_of(parts), n)
         total = int(by_target[-1])
         sources = np.empty(total, dtype=np.int32)
         probs = np.empty(total, dtype=np.float64)

@@ -55,6 +55,7 @@ import numpy as np
 from repro.graphs.build import sorted_unique
 from repro.graphs.digraph import DiGraph
 from repro.obs.context import get_tracer
+from repro.utils import csr
 from repro.utils.spill import release_pages, spill_array
 
 __all__ = ["streaming_configuration_csr"]
@@ -160,26 +161,14 @@ def _sort_unique_spill(
     bucket_starts = np.zeros(num_coarse + 1, dtype=np.int64)
     np.cumsum(coarse_counts, out=bucket_starts[1:])
     cursors = bucket_starts[:-1].copy()
-    # A stable sort's permutation is unique, so bucket ids cast to the
-    # narrowest unsigned dtype that holds them sort in the same order,
-    # through numpy's radix sort when that dtype has 8 or 16 bits.
+    # A chunk's bucket ids take one byte each rather than eight; the
+    # transpose kernel sorts them as uint16 either way.
     coarse_of_fine = coarse_of_fine.astype(np.min_scalar_type(num_coarse - 1))
 
     for index, start in enumerate(range(0, count, chunk)):
         block = np.asarray(keys[start : start + chunk][: count - start])
-        bucket_ids = coarse_of_fine[block // fine_width]
-        order = np.argsort(bucket_ids, kind="stable")
-        sorted_keys = block[order]
-        sorted_ids = bucket_ids[order]
-        # The ids are sorted, so each bucket's segment ends where they change.
-        change = np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1
-        segment_starts = np.append(0, change)
-        segment_ends = np.append(change, sorted_ids.size)
-        present = sorted_ids[segment_starts]
-        for bucket, seg_lo, seg_hi in zip(present, segment_starts, segment_ends):
-            at = cursors[bucket]
-            scratch[at : at + (seg_hi - seg_lo)] = sorted_keys[seg_lo:seg_hi]
-            cursors[bucket] = at + (seg_hi - seg_lo)
+        # The keys of each bucket land at its cursor in stream order.
+        csr.transpose_into(coarse_of_fine[block // fine_width], cursors, values=[(block, scratch)])
         if index % 8 == 7:
             release_pages(scratch)
     release_pages(keys)

@@ -97,6 +97,36 @@ def hyperedge_lists(draw, max_edges=14, max_size=12, nodes=st.integers(min_value
     return num_nodes, [np.array(h, dtype=np.int64) for h in sets]
 
 
+class TestColumnOffsets:
+    @PROPERTY
+    @given(
+        num_columns=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(0, 30), max_size=12),
+    )
+    def test_counts_of_many_arrays_equal_the_whole_stream(self, block, num_columns, seed, sizes):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.integers(0, num_columns, size=size).astype(np.int32) for size in sizes]
+        whole = np.concatenate(arrays + [np.empty(0, dtype=np.int32)])
+        expected = np.zeros(num_columns + 1, dtype=np.int64)
+        np.cumsum(np.bincount(whole, minlength=num_columns), out=expected[1:])
+        assert np.array_equal(csr.column_offsets(arrays, num_columns), expected)
+        assert np.array_equal(csr.column_offsets(whole, num_columns), expected)
+
+    def test_small_arrays_share_one_pass_over_the_columns(self, block, monkeypatch):
+        calls = []
+        bincount = np.bincount
+
+        def counting(values, minlength=0):
+            calls.append(values.size)
+            return bincount(values, minlength=minlength)
+
+        monkeypatch.setattr(np, "bincount", counting)
+        csr.column_offsets([np.array([1, 2])] * 30, 50)
+        # 60 entries against batches of max(block, 50) entries.
+        assert calls == [50, 10]
+
+
 class TestInvertedIndex:
     @PROPERTY
     @given(case=hyperedge_lists())

@@ -110,3 +110,42 @@ class TestInvertedIndex:
         hypergraph, peak = _traced(lambda: RRHypergraph.from_csr(self.NODES, offsets, stream))
         kept = _nbytes(hypergraph, ("node_offsets", "node_edges"))
         assert peak - kept < 6 * BLOCK_BYTES + 64 * (self.NODES + self.EDGES) + (1 << 18)
+
+
+class TestPassesOverTheNodes:
+    """A read in many small windows costs no pass over all node counts each.
+
+    Every ``np.bincount(..., minlength=n)`` walks all ``n`` counts.  The
+    build counts targets, then sources, and the graph counts its
+    in-adjacency; batching the windows' ids keeps each of those passes
+    to one bincount per ``max(BLOCK_ENTRIES, n)`` entries, so a file of
+    thousands of windows and a node count far above a window's rows
+    makes a handful of them, not one per window.
+    """
+
+    @pytest.mark.parametrize("undirected", (False, True), ids=("directed", "undirected"))
+    def test_bincounts_over_the_nodes_do_not_follow_the_windows(
+        self, tmp_path, monkeypatch, undirected
+    ):
+        rows = 20_000
+        rng = np.random.default_rng(5)
+        ids = rng.permutation(2 * rows).reshape(rows, 2) * 1_000  # about 2 * rows nodes
+        path = tmp_path / "edges.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in ids.tolist()))
+        monkeypatch.setattr(graph_io, "_WINDOW_BYTES", 64)
+        monkeypatch.setattr(csr, "BLOCK_ENTRIES", 256)
+        calls = []
+        bincount = np.bincount
+
+        def counting(values, weights=None, minlength=0):
+            calls.append(minlength)
+            return bincount(values, weights, minlength)
+
+        monkeypatch.setattr(np, "bincount", counting)
+        graph, _ = read_edge_list(path, undirected=undirected)
+        n = graph.num_nodes
+        windows = path.stat().st_size // 64
+        entries = graph.num_edges
+        over_nodes = sum(1 for minlength in calls if minlength == n)
+        assert windows > 100 * (1 + entries // n)
+        assert 3 <= over_nodes <= 3 * (1 + entries // n)
