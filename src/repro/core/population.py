@@ -5,14 +5,15 @@ curve ``2c - c^2``, 10% the linear curve ``c``, 5% the insensitive curve
 ``c^2``, assigned uniformly at random.  Table 4 re-runs with (75/15/10) and
 (65/20/15) mixtures.  :func:`paper_mixture` builds any of these.
 
-:class:`CurvePopulation` stores one curve per node but evaluates
-*vectorized by curve group*: nodes sharing a curve object are evaluated in
-one array operation, which matters for hyper-graph objectives over large
-``n``.
+:class:`CurvePopulation` stores one small-int label per node and
+evaluates *vectorized by curve group*: nodes sharing a curve object are
+evaluated in one array operation, which matters for hyper-graph objectives
+over large ``n``.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -30,28 +31,54 @@ __all__ = ["CurvePopulation", "paper_mixture"]
 
 
 class CurvePopulation:
-    """Per-node seed-probability curves with group-vectorized evaluation."""
+    """Per-node seed-probability curves with group-vectorized evaluation.
+
+    The population is stored as its distinct curve objects, in order of
+    their first node, and one small-int label per node that indexes
+    them; each label's nodes, ascending, are kept for evaluation.
+    """
 
     def __init__(self, curves: Sequence[SeedProbabilityCurve]) -> None:
-        if not curves:
+        # One C-level pass labels each node with the first node that holds
+        # its curve object, so the distinct curves come in first-node order.
+        first_node: Dict[int, int] = {}
+        labels = np.fromiter(
+            map(first_node.setdefault, map(id, curves), itertools.count()),
+            dtype=np.intp,
+            count=len(curves),
+        )
+        firsts = np.fromiter(first_node.values(), dtype=np.intp, count=len(first_node))
+        self._assign(np.searchsorted(firsts, labels), [curves[node] for node in firsts.tolist()])
+
+    def _assign(self, labels: np.ndarray, candidates: Sequence[SeedProbabilityCurve]) -> None:
+        """Store ``candidates[labels[node]]`` as each node's curve.
+
+        Candidates that no node takes are dropped, the rest are
+        renumbered in order of their first node, and each distinct curve
+        is type-checked and validated once, in that order, so the first
+        bad node is the one named.
+        """
+        if not labels.size:
             raise CurveError("population must contain at least one curve")
-        self._curves: List[SeedProbabilityCurve] = list(curves)
-        # Group node ids by curve identity for vectorized evaluation; each
-        # distinct curve object is validated once, at its first node.
-        groups: Dict[int, List[int]] = {}
-        self._group_curves: Dict[int, SeedProbabilityCurve] = {}
-        for node, curve in enumerate(self._curves):
+        labels = labels.astype(np.min_scalar_type(len(candidates) - 1), copy=False)
+        by_label = np.argsort(labels, kind="stable")
+        sizes = np.bincount(labels, minlength=len(candidates))
+        starts = np.cumsum(sizes) - sizes
+        used = np.flatnonzero(sizes)
+        firsts = by_label[starts[used]]
+        rank = np.argsort(firsts)
+        used, firsts = used[rank], firsts[rank]
+        renumber = np.zeros(len(candidates), dtype=labels.dtype)
+        renumber[used] = np.arange(used.size)
+        self._labels = renumber[labels]
+        self._curves: List[SeedProbabilityCurve] = [candidates[k] for k in used.tolist()]
+        self._nodes = [by_label[starts[k] : starts[k] + sizes[k]] for k in used.tolist()]
+        for node, curve in zip(firsts.tolist(), self._curves):
             if not isinstance(curve, SeedProbabilityCurve):
                 raise CurveError(
                     f"node {node}: expected SeedProbabilityCurve, got {type(curve).__name__}"
                 )
-            key = id(curve)
-            if key not in groups:
-                curve.validate()
-                groups[key] = []
-                self._group_curves[key] = curve
-            groups[key].append(node)
-        self._groups = {key: np.asarray(nodes, dtype=np.int64) for key, nodes in groups.items()}
+            curve.validate()
 
     # ------------------------------------------------------------------
     # construction
@@ -59,7 +86,9 @@ class CurvePopulation:
     @classmethod
     def uniform(cls, num_nodes: int, curve: SeedProbabilityCurve) -> "CurvePopulation":
         """Every node shares one curve object."""
-        return cls([curve] * num_nodes)
+        population = cls.__new__(cls)
+        population._assign(np.zeros(max(num_nodes, 0), dtype=np.uint8), [curve])
+        return population
 
     @classmethod
     def from_mixture(
@@ -70,38 +99,48 @@ class CurvePopulation:
     ) -> "CurvePopulation":
         """Randomly assign curves by the given ``(curve, fraction)`` mixture.
 
-        Fractions must sum to 1 (within tolerance).  Counts are rounded to
-        integers with the largest group absorbing the remainder, then the
-        assignment is shuffled — exactly the paper's "randomly picked x%
-        of nodes" protocol.
+        Fractions must be finite, non-negative and sum to 1 (within
+        tolerance).  Counts are rounded to integers with the largest
+        group absorbing the remainder, then the assignment is shuffled —
+        exactly the paper's "randomly picked x% of nodes" protocol.
         """
         fractions = np.asarray([fraction for _, fraction in mixture], dtype=np.float64)
-        if np.any(fractions < 0.0) or abs(float(fractions.sum()) - 1.0) > 1e-9:
-            raise CurveError(f"mixture fractions must be >= 0 and sum to 1, got {fractions}")
+        if (
+            not np.all(np.isfinite(fractions))
+            or np.any(fractions < 0.0)
+            or abs(float(fractions.sum()) - 1.0) > 1e-9
+        ):
+            raise CurveError(
+                f"mixture fractions must be finite, >= 0 and sum to 1, got {fractions}"
+            )
         counts = np.floor(fractions * num_nodes).astype(np.int64)
         counts[int(np.argmax(counts))] += num_nodes - int(counts.sum())
-        assignment: List[SeedProbabilityCurve] = []
-        for (curve, _), count in zip(mixture, counts):
-            assignment.extend([curve] * int(count))
-        rng = as_generator(seed)
-        order = rng.permutation(num_nodes)
-        shuffled = [assignment[i] for i in order]
-        return cls(shuffled)
+        # Entries that list one curve object share the label of its first
+        # entry.  Node i takes the entry at position permutation[i] of the
+        # unshuffled assignment, whose blocks follow the mixture's order.
+        keys = [id(curve) for curve, _ in mixture]
+        entry_labels = np.asarray(
+            [keys.index(key) for key in keys], dtype=np.min_scalar_type(len(keys) - 1)
+        )
+        labels = np.repeat(entry_labels, counts)[as_generator(seed).permutation(num_nodes)]
+        population = cls.__new__(cls)
+        population._assign(labels, [curve for curve, _ in mixture])
+        return population
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._curves)
+        return self._labels.size
 
     @property
     def num_nodes(self) -> int:
         """Number of users in the population."""
-        return len(self._curves)
+        return self._labels.size
 
     def curve(self, node: int) -> SeedProbabilityCurve:
         """The curve assigned to ``node``."""
-        return self._curves[node]
+        return self._curves[self._labels[node]]
 
     def probabilities(self, discounts: np.ndarray) -> np.ndarray:
         """Vectorized ``q_u = p_u(c_u)`` for a full discount vector."""
@@ -111,8 +150,8 @@ class CurvePopulation:
                 f"discounts must have length n={self.num_nodes}, got {discounts.shape}"
             )
         out = np.empty(self.num_nodes, dtype=np.float64)
-        for key, nodes in self._groups.items():
-            out[nodes] = self._group_curves[key](discounts[nodes])
+        for curve, nodes in zip(self._curves, self._nodes):
+            out[nodes] = curve(discounts[nodes])
         return out
 
     def derivatives(self, discounts: np.ndarray) -> np.ndarray:
@@ -123,15 +162,15 @@ class CurvePopulation:
                 f"discounts must have length n={self.num_nodes}, got {discounts.shape}"
             )
         out = np.empty(self.num_nodes, dtype=np.float64)
-        for key, nodes in self._groups.items():
-            out[nodes] = self._group_curves[key].derivative(discounts[nodes])
+        for curve, nodes in zip(self._curves, self._nodes):
+            out[nodes] = curve.derivative(discounts[nodes])
         return out
 
     def probabilities_at(self, discount: float) -> np.ndarray:
         """``q_u = p_u(c)`` at one shared discount (the UD inner loop)."""
         out = np.empty(self.num_nodes, dtype=np.float64)
-        for key, nodes in self._groups.items():
-            out[nodes] = self._group_curves[key](discount)
+        for curve, nodes in zip(self._curves, self._nodes):
+            out[nodes] = curve(discount)
         return out
 
     def spec(self) -> Dict[str, object]:
@@ -143,26 +182,24 @@ class CurvePopulation:
         curve function — whichever objects carry them.
         """
         specs: List[Dict[str, object]] = []
-        assignment = np.empty(self.num_nodes, dtype=np.int64)
-        for key, nodes in self._groups.items():
-            spec = self._group_curves[key].spec()
+        index: List[int] = []
+        for curve in self._curves:
+            spec = curve.spec()
             if spec not in specs:
                 specs.append(spec)
-            assignment[nodes] = specs.index(spec)
+            index.append(specs.index(spec))
+        assignment = np.asarray(index, dtype=np.int64)[self._labels]
         return {"curves": specs, "assignment": assignment}
 
     def all_insensitive(self) -> bool:
         """Theorem 6 precondition: every user's curve has ``p(c) <= c``."""
-        return all(
-            self._group_curves[key].is_insensitive() for key in self._groups
-        )
+        return all(curve.is_insensitive() for curve in self._curves)
 
     def curve_counts(self) -> Dict[str, int]:
         """Histogram of curve names (for experiment reporting)."""
         histogram: Dict[str, int] = {}
-        for key, nodes in self._groups.items():
-            name = self._group_curves[key].name
-            histogram[name] = histogram.get(name, 0) + int(nodes.size)
+        for curve, nodes in zip(self._curves, self._nodes):
+            histogram[curve.name] = histogram.get(curve.name, 0) + int(nodes.size)
         return histogram
 
 

@@ -16,7 +16,6 @@ copies and round-trips spill-backed graphs exactly.
 
 from __future__ import annotations
 
-import io
 import json
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
@@ -105,6 +104,9 @@ _WINDOW_BYTES = 1 << 18
 #: Longest probability token the columnar reader converts (an exact
 #: float repr needs at most 24 characters).
 _MAX_FLOAT_WIDTH = 32
+#: Most digits of an id token that the columnar reader converts: every
+#: 18-digit decimal fits int64.  Wider ids go to the line reader.
+_MAX_ID_DIGITS = 18
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -118,9 +120,9 @@ def _columns(path: Path, default_probability: float, relabel: bool = True) -> Op
 
     Returns each window's :data:`Rows`, or ``None`` to hand the file to
     the line reader, which names the offending line: a line with a
-    token count other than 0, 2 or 3, an id that ``np.loadtxt`` rejects
-    (anything but a plain decimal inside int64), an unparsable
-    probability, or a byte outside printable ASCII and whitespace.
+    token count other than 0, 2 or 3, an id other than a signed or
+    unsigned decimal of at most 18 digits, an unparsable probability,
+    or a byte outside printable ASCII and whitespace.
     Every window that parses is value-checked at once
     (:func:`_check_values`): the windows before it parsed too, so its
     first bad row is the first one of the file, as the line reader
@@ -178,7 +180,7 @@ def _window_columns(
     # reader, which keeps Python's exact semantics for it.
     if buf.max() > 126 or np.any(buf < 9) or np.any((buf > 13) & (buf < 28)):
         return None
-    starts, stops, ends = _tokens(buf)
+    starts, stops, ends, token = _tokens(buf)
     before_end = np.searchsorted(starts, ends)  # tokens before each line end
     per_line = np.diff(before_end, prepend=0)
     if np.any((per_line == 1) | (per_line > 3)):
@@ -188,18 +190,6 @@ def _window_columns(
     third = before_end[rows[three]] - 1  # the last token of each 3-token row
     del before_end, per_line
 
-    if rows.size:
-        # numpy's C parser reads the two id columns of every row; the
-        # token counts above already hold every line to 0, 2 or 3 tokens.
-        text = io.StringIO(buf.tobytes().decode("ascii"), newline=None)
-        try:
-            ids = np.loadtxt(text, dtype=np.int64, comments="#", usecols=(0, 1), ndmin=2)
-        except ValueError:
-            return None
-        if ids.shape[0] != rows.size:
-            return None
-    else:
-        ids = np.empty((0, 2), dtype=np.int64)
     # A window without a probability column keeps no per-row copy of the
     # default: a read-only broadcast stands in for it.
     probs = np.broadcast_to(np.float64(default_probability), rows.shape)
@@ -209,11 +199,17 @@ def _window_columns(
             return None
         probs = probs.copy()
         probs[three] = given
+    ids = np.empty((0, 2), dtype=np.int64)
+    if rows.size:
+        ids = _id_columns(buf, starts, stops, token, third, rows.size)
+        if ids is None:
+            return None
     return ids, probs, rows, ends.size - 1
 
 
-def _tokens(buf: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Token ``starts`` and ``stops`` (exclusive), and each line's end offset.
+def _tokens(buf: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Token ``starts`` and ``stops`` (exclusive), each line's end offset,
+    and the mask of token bytes.
 
     Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as text-mode
     iteration splits them; the last line ends at ``buf.size``.  Tokens are
@@ -242,9 +238,52 @@ def _tokens(buf: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     flips = np.empty(size + 1, dtype=bool)
     flips[0], flips[-1] = token[:1].any(), token[-1:].any()
     np.not_equal(token[1:], token[:-1], out=flips[1:-1])
-    del token
     bounds = np.flatnonzero(flips)
-    return bounds[0::2], bounds[1::2], ends
+    return bounds[0::2], bounds[1::2], ends, token
+
+
+def _id_columns(
+    buf: np.ndarray,
+    starts: np.ndarray,
+    stops: np.ndarray,
+    token: np.ndarray,
+    third: np.ndarray,
+    rows: int,
+) -> Optional[np.ndarray]:
+    """The ``(rows, 2)`` ids, read by one C pass of ``np.fromstring``, or ``None``.
+
+    Every id token (each token but the ``third`` ones) must read
+    ``[+-]?[0-9]{1,18}``: ``int()`` takes it to the same value, and it
+    fits int64.  Comments, probability tokens and bytes 28-31, which
+    ``str.split`` takes for whitespace but C's ``isspace`` does not,
+    are blanked to spaces first, in the windows that have them.
+    """
+    is_id = np.ones(starts.size, dtype=bool)
+    is_id[third] = False
+    head = buf[starts]
+    signed = (head == 43) | (head == 45)  # '+', '-'
+    digits = stops - starts - signed
+    if np.any(is_id & ((digits < 1) | (digits > _MAX_ID_DIGITS))):
+        return None
+    # Printable bytes other than digits may sit in comments, probability
+    # tokens, or at the head of an id as its sign.
+    odd = np.flatnonzero((buf > 57) | ((buf < 48) & (buf > 32)))
+    if odd.size:
+        within = np.searchsorted(starts, odd, side="right") - 1
+        in_id = (within >= 0) & (odd < stops[within]) & is_id[within]
+        if np.any(in_id & ~((odd == starts[within]) & signed[within])):
+            return None
+    text = buf
+    if third.size or np.any(buf == 35) or np.any((buf > 27) & (buf < 32)):
+        width = stops[third] - starts[third]
+        for place in range(int(width.max(initial=0))):
+            token[starts[third[width > place]] + place] = False
+        text = np.where(token, buf, np.uint8(32))
+    try:
+        ids = np.fromstring(text.tobytes(), dtype=np.int64, sep=" ")
+    except ValueError:
+        return None
+    return ids.reshape(rows, 2) if ids.size == 2 * rows else None
 
 
 def _float_tokens(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> Optional[np.ndarray]:

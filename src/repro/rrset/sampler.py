@@ -262,11 +262,12 @@ def sample_rr_csr(
         )
         # Chunk events come off the ordered results list, never from
         # completion order, so traces stay identical across worker counts.
-        for index, chunk in enumerate(chunks):
-            span.event(
-                "chunk", index=index, planned=planned_sizes[index], produced=chunk.count
-            )
-            metrics.observe("rrset.chunk_items", chunk.count)
+        for index, made in enumerate(chunk.count for chunk in chunks):
+            span.event("chunk", index=index, planned=planned_sizes[index], produced=made)
+            metrics.observe("rrset.chunk_items", made)
+        # Summed before assembly, which releases each heap chunk once copied.
+        slab_bytes = sum(c.slab_bytes for c in chunks)
+        pickled_bytes = sum(c.pickled_bytes for c in chunks)
         with tracer.span(
             "storage.assemble", chunks=len(chunks), backing=backing_mode
         ) as assemble_span:
@@ -288,10 +289,8 @@ def sample_rr_csr(
         # Total member count = the width of the CSR stream the hyper-graph
         # build will allocate; BENCH_cd.json reports it alongside timings.
         metrics.inc("rrset.nodes_sampled_total", int(members.size))
-        metrics.inc("storage.slab_bytes_total", sum(c.slab_bytes for c in chunks))
-        metrics.inc(
-            "storage.pickled_bytes_total", sum(c.pickled_bytes for c in chunks)
-        )
+        metrics.inc("storage.slab_bytes_total", slab_bytes)
+        metrics.inc("storage.pickled_bytes_total", pickled_bytes)
         metrics.inc("storage.assemblies_total")
         if expired:
             metrics.inc("rrset.truncated_total")

@@ -51,7 +51,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import MutableSequence, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -379,7 +379,7 @@ class SlabStore:
 
 
 def assemble(
-    chunks: Sequence[Union[ChunkCSR, SlabRef]],
+    chunks: MutableSequence[Union[ChunkCSR, SlabRef, None]],
     dtype: Union[str, np.dtype],
     store: Optional[SlabStore] = None,
     out: Optional[Tuple[np.ndarray, np.ndarray]] = None,
@@ -394,7 +394,9 @@ def assemble(
     memory-mapped slab at a time (shared transport).  Returns
     ``(sizes, members)``: ``int64`` RR-set sizes and the member stream
     in ``dtype``.  Each chunk is copied straight into its extent of the
-    pre-allocated output — one pass, no intermediate list.
+    pre-allocated output — one pass, no intermediate list.  Under the
+    heap transport each entry of ``chunks`` is set to ``None`` once it
+    is copied, so the member stream never exists twice.
 
     The destination is chosen by ``out``/``backing``, independently of
     the transport: pass ``out=(sizes, members)`` to fill caller-owned
@@ -441,4 +443,6 @@ def assemble(
         members[member_at : member_at + chunk_members.size] = chunk_members
         edge_at += chunk_sizes.size
         member_at += chunk_members.size
+        if store is None:
+            chunks[index] = None
     return sizes, members

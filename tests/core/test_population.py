@@ -1,11 +1,224 @@
-"""Unit tests for curve populations."""
+"""Unit tests for curve populations.
+
+A population is stored as its distinct curves plus one label per node.
+The per-node list it replaced is copied below as an oracle, and every
+query, the spec that checkpoint keys hash included, must agree with it
+exactly.
+"""
+
+import tracemalloc
+import warnings
+from typing import Dict, List
 
 import numpy as np
 import pytest
 
-from repro.core.curves import ConcaveCurve, LinearCurve, QuadraticCurve
+from repro.core.curves import (
+    INSENSITIVE,
+    LINEAR,
+    SENSITIVE,
+    ConcaveCurve,
+    LinearCurve,
+    LogisticCurve,
+    PowerCurve,
+    QuadraticCurve,
+    SeedProbabilityCurve,
+)
 from repro.core.population import CurvePopulation, paper_mixture
 from repro.exceptions import CurveError
+from repro.utils.rng import as_generator
+
+
+class PerUserPopulation:
+    """The population as it was: one curve object per node, grouped by ``id``."""
+
+    def __init__(self, curves):
+        if not curves:
+            raise CurveError("population must contain at least one curve")
+        self._curves = list(curves)
+        groups: Dict[int, List[int]] = {}
+        self._group_curves = {}
+        for node, curve in enumerate(self._curves):
+            if not isinstance(curve, SeedProbabilityCurve):
+                raise CurveError(
+                    f"node {node}: expected SeedProbabilityCurve, got {type(curve).__name__}"
+                )
+            key = id(curve)
+            if key not in groups:
+                curve.validate()
+                groups[key] = []
+                self._group_curves[key] = curve
+            groups[key].append(node)
+        self._groups = {key: np.asarray(nodes, dtype=np.int64) for key, nodes in groups.items()}
+
+    @classmethod
+    def from_mixture(cls, num_nodes, mixture, seed=None):
+        fractions = np.asarray([fraction for _, fraction in mixture], dtype=np.float64)
+        counts = np.floor(fractions * num_nodes).astype(np.int64)
+        counts[int(np.argmax(counts))] += num_nodes - int(counts.sum())
+        assignment = []
+        for (curve, _), count in zip(mixture, counts):
+            assignment.extend([curve] * int(count))
+        order = as_generator(seed).permutation(num_nodes)
+        return cls([assignment[i] for i in order])
+
+    def curve(self, node):
+        return self._curves[node]
+
+    def _each_group(self, fn):
+        out = np.empty(len(self._curves), dtype=np.float64)
+        for key, nodes in self._groups.items():
+            out[nodes] = fn(self._group_curves[key], nodes)
+        return out
+
+    def probabilities(self, discounts):
+        return self._each_group(lambda curve, nodes: curve(discounts[nodes]))
+
+    def derivatives(self, discounts):
+        return self._each_group(lambda curve, nodes: curve.derivative(discounts[nodes]))
+
+    def probabilities_at(self, discount):
+        return self._each_group(lambda curve, nodes: curve(discount))
+
+    def spec(self):
+        specs = []
+        assignment = np.empty(len(self._curves), dtype=np.int64)
+        for key, nodes in self._groups.items():
+            spec = self._group_curves[key].spec()
+            if spec not in specs:
+                specs.append(spec)
+            assignment[nodes] = specs.index(spec)
+        return {"curves": specs, "assignment": assignment}
+
+    def curve_counts(self):
+        histogram = {}
+        for key, nodes in self._groups.items():
+            name = self._group_curves[key].name
+            histogram[name] = histogram.get(name, 0) + int(nodes.size)
+        return histogram
+
+
+def _paper_entries(fractions=(0.85, 0.10, 0.05)):
+    return list(zip((SENSITIVE, LINEAR, INSENSITIVE), fractions))
+
+
+def _minority_first_seed():
+    """A seed whose paper mixture puts node 0 on a minority curve."""
+    for seed in range(100):
+        if PerUserPopulation.from_mixture(40, _paper_entries(), seed=seed).curve(0) is not SENSITIVE:
+            return seed
+    raise AssertionError("no seed puts node 0 off the sensitive curve")
+
+
+_TWIN = PowerCurve(3.0)
+_CUSTOM = [PowerCurve(3.0), LogisticCurve(), _TWIN, LinearCurve(), _TWIN, PowerCurve(0.5), LINEAR]
+
+MIXTURES = {
+    "paper": (1000, _paper_entries(), 11),
+    "table4": (997, _paper_entries((0.65, 0.20, 0.15)), 12),
+    "one-node": (1, _paper_entries(), 13),
+    "rounding": (7, _paper_entries(), 14),
+    "object-listed-twice": (300, [(LINEAR, 0.3), (SENSITIVE, 0.4), (LINEAR, 0.3)], 15),
+    "zero-fraction": (200, [(SENSITIVE, 0.5), (PowerCurve(2.0), 0.0), (INSENSITIVE, 0.5)], 16),
+    "node-0-minority": (40, _paper_entries(), _minority_first_seed()),
+}
+
+
+def _assert_same_population(got, want, n):
+    assert len(got) == got.num_nodes == n
+    got_spec, want_spec = got.spec(), want.spec()
+    assert got_spec["curves"] == want_spec["curves"]
+    assert got_spec["assignment"].dtype == want_spec["assignment"].dtype
+    assert np.array_equal(got_spec["assignment"], want_spec["assignment"])
+    assert all(got.curve(node) is want.curve(node) for node in range(n))
+    assert list(got.curve_counts().items()) == list(want.curve_counts().items())
+    discounts = np.random.default_rng(n).uniform(0.0, 1.0, size=n)
+    assert np.array_equal(got.probabilities(discounts), want.probabilities(discounts))
+    assert np.array_equal(got.derivatives(discounts), want.derivatives(discounts))
+    for discount in (0.0, 0.3, 1.0):
+        assert np.array_equal(got.probabilities_at(discount), want.probabilities_at(discount))
+
+
+class TestAgainstThePerUserList:
+    @pytest.mark.parametrize("case", sorted(MIXTURES))
+    def test_mixture_matches(self, case):
+        n, mixture, seed = MIXTURES[case]
+        got = CurvePopulation.from_mixture(n, mixture, seed=seed)
+        _assert_same_population(got, PerUserPopulation.from_mixture(n, mixture, seed=seed), n)
+
+    @pytest.mark.parametrize("case", sorted(MIXTURES))
+    def test_sequence_of_the_same_curves_matches(self, case):
+        n, mixture, seed = MIXTURES[case]
+        curves = PerUserPopulation.from_mixture(n, mixture, seed=seed)._curves
+        _assert_same_population(CurvePopulation(curves), PerUserPopulation(curves), n)
+
+    def test_paper_mixture_matches(self):
+        got = paper_mixture(2000, seed=5)
+        _assert_same_population(
+            got, PerUserPopulation.from_mixture(2000, _paper_entries(), seed=5), 2000
+        )
+
+    def test_node_0_on_a_minority_curve_leads_the_spec(self):
+        n, mixture, seed = MIXTURES["node-0-minority"]
+        population = CurvePopulation.from_mixture(n, mixture, seed=seed)
+        assert population.spec()["curves"][0] == population.curve(0).spec()
+        assert population.spec()["curves"][0] != SENSITIVE.spec()
+
+    def test_custom_curves_with_equal_specs_share_an_index(self):
+        curves = _CUSTOM * 3
+        population = CurvePopulation(curves)
+        _assert_same_population(population, PerUserPopulation(curves), len(curves))
+        assignment = population.spec()["assignment"]
+        assert assignment[0] == assignment[2]  # two PowerCurve(3.0) objects
+
+    def test_uniform_matches(self):
+        _assert_same_population(
+            CurvePopulation.uniform(9, LINEAR), PerUserPopulation([LINEAR] * 9), 9
+        )
+
+
+class TestErrorsNameTheFirstBadNode:
+    class Bad(LinearCurve):
+        def _evaluate(self, c):
+            return 0.5 * c
+
+    @pytest.mark.parametrize(
+        "curves",
+        [
+            [LINEAR, LINEAR, LINEAR, "not a curve", Bad(), "not a curve"],
+            [LINEAR, SENSITIVE, Bad(), 7, LINEAR],
+            [LINEAR] * 5 + [None] + [LINEAR] * 3,
+        ],
+        ids=["non-curve-first", "invalid-first", "none"],
+    )
+    def test_same_error_as_the_per_user_list(self, curves):
+        with pytest.raises(CurveError) as want:
+            PerUserPopulation(curves)
+        with pytest.raises(CurveError) as got:
+            CurvePopulation(curves)
+        assert str(got.value) == str(want.value)
+
+    def test_non_curve_in_a_mixture_names_its_first_node(self):
+        mixture = [(LINEAR, 0.5), ("not a curve", 0.5)]
+        with pytest.raises(CurveError) as want:
+            PerUserPopulation.from_mixture(20, mixture, seed=1)
+        with pytest.raises(CurveError) as got:
+            CurvePopulation.from_mixture(20, mixture, seed=1)
+        assert str(got.value) == str(want.value)
+
+
+class TestMemory:
+    def test_paper_mixture_of_a_million_users_peaks_under_32_mib(self):
+        # The per-user list peaked at 74 MiB: a Python list of one
+        # million curve references, built twice, and a node list per group.
+        tracemalloc.start()
+        try:
+            population = paper_mixture(1_000_000, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert population.num_nodes == 1_000_000
+        assert peak < 32 * 2**20
 
 
 class TestConstruction:
@@ -88,6 +301,15 @@ class TestMixture:
             CurvePopulation.from_mixture(
                 10, [(LinearCurve(), 1.5), (ConcaveCurve(), -0.5)]
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fraction_rejected(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CurveError, match="mixture fractions"):
+                CurvePopulation.from_mixture(10, [(LinearCurve(), bad), (ConcaveCurve(), 0.5)])
+            with pytest.raises(CurveError, match="mixture fractions"):
+                paper_mixture(10, sensitive_fraction=bad)
 
     def test_table4_mixtures(self):
         pop = paper_mixture(

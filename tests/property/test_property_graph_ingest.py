@@ -8,7 +8,9 @@ configuration models dedup with ``sorted_unique`` instead of
 pin each against its predecessor, copied here as an oracle: the line
 loop that fed ``GraphBuilder.add_edge`` one edge at a time, the lexsort
 finalisation, and ``np.unique``.  Graph arrays, the id map (in order)
-and the line that an error names must all agree.
+and the line that an error names must all agree.  A window whose ids
+are all signed or unsigned decimals of at most 18 digits is read by one
+``np.fromstring`` pass; ``TestIdParse`` pins which windows take it.
 """
 
 import re
@@ -322,6 +324,151 @@ class TestReadEdgeList:
         path = _write(tmp_path, "0 1\n99999999999999999999 1\n")
         with pytest.raises(GraphError, match=":2: node id out of the int64 range"):
             read_edge_list(path, relabel=False)
+
+
+# ----------------------------------------------------------------------
+# the C id parse: which windows np.fromstring reads
+# ----------------------------------------------------------------------
+
+SIGNS = st.sampled_from(["", "", "+", "-"])
+#: Ids the columns path reads: an optional sign and 1 to 18 digits,
+#: leading zeros included.
+DECIMAL_IDS = st.one_of(
+    st.builds(
+        lambda sign, zeros, value: f"{sign}{'0' * zeros}{value}",
+        SIGNS,
+        st.integers(0, 5),
+        st.integers(0, 10**12),
+    ),
+    st.builds(lambda sign, value: f"{sign}{value}", SIGNS, st.integers(10**17, 10**18 - 1)),
+    st.builds(lambda sign, value: f"{sign}{value:018d}", SIGNS, st.integers(0, 10**6)),
+)
+#: Ids of 19 digits or more, inside int64 or not: the line reader's.
+WIDE_IDS = st.one_of(
+    st.builds(lambda sign, value: f"{sign}{value:019d}", SIGNS, st.integers(0, 10**6)),
+    st.builds(lambda sign, value: f"{sign}{value}", SIGNS, st.integers(10**18, 2**63 - 1)),
+    st.builds(lambda sign, value: f"{sign}{value}", SIGNS, st.integers(2**63, 10**22)),
+)
+#: What str.split() takes for whitespace; C's isspace() does not take
+#: bytes 28-31, and the columns path blanks them.
+SEPARATORS = st.sampled_from([" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", " \x1f\t"])
+
+
+@st.composite
+def id_lines(draw, ids=DECIMAL_IDS, gaps=GAPS):
+    tokens = [draw(ids), draw(ids)]
+    if draw(st.booleans()):
+        tokens.append(draw(PROBABILITIES))
+    text = draw(gaps).join(tokens)
+    if draw(st.integers(0, 3)) == 0:
+        text += draw(gaps) + draw(COMMENTS)
+    return text
+
+
+def _read_by_columns(path, default_probability):
+    """Whether the columns path reads the file (ids relabelled, so
+    negative ones pass its value check)."""
+    return _columns(path, default_probability) is not None
+
+
+RELABEL_OPTIONS = st.fixed_dictionaries(
+    {
+        "undirected": st.booleans(),
+        "relabel": st.just(True),
+        "default_probability": st.sampled_from([1.0, 0.1]),
+    }
+)
+
+
+class TestIdParse:
+    @INGEST
+    @given(
+        text=edge_list_texts(line=st.one_of(id_lines(), COMMENTS, st.just(""))),
+        options=RELABEL_OPTIONS,
+    )
+    def test_signed_zero_padded_and_18_digit_ids_take_the_columns_path(
+        self, tmp_path, text, options
+    ):
+        path = _write(tmp_path, text)
+        assert _compare(path, **options) is not None
+        assert _read_by_columns(path, options["default_probability"])
+
+    @INGEST
+    @given(
+        text=edge_list_texts(
+            line=st.one_of(id_lines(ids=st.one_of(WIDE_IDS, DECIMAL_IDS)), BAD_LINES, COMMENTS),
+            max_lines=12,
+        ),
+        options=RELABEL_OPTIONS,
+    )
+    def test_wider_ids_go_to_the_line_reader(self, tmp_path, text, options):
+        path = _write(tmp_path, text)
+        _compare(path, **options)
+        widths = [len(token.lstrip("+-")) for token in re.findall(r"[+-]?\d+", text)]
+        if any(width > 18 for width in widths):
+            assert not _read_by_columns(path, options["default_probability"])
+
+    @INGEST
+    @given(
+        text=edge_list_texts(
+            line=st.one_of(id_lines(ids=SPARSE_IDS.map(str), gaps=SEPARATORS), COMMENTS)
+        ),
+        options=READ_OPTIONS,
+    )
+    def test_separators_outside_c_whitespace_keep_the_columns_path(
+        self, tmp_path, text, options
+    ):
+        if not options["relabel"]:
+            # Identity ids: keep the node count small.
+            text = "".join(
+                line for line in text.splitlines(keepends=True) if len(line.split("#")[0]) < 12
+            )
+        path = _write(tmp_path, text)
+        if _compare(path, **options) is not None:
+            assert _read_by_columns(path, options["default_probability"])
+
+    @INGEST
+    @given(
+        lines=st.lists(
+            st.one_of(id_lines(ids=SMALL_IDS.map(str)), COMMENTS), min_size=4, max_size=40
+        ),
+        window=st.integers(min_value=16, max_value=200),
+        options=READ_OPTIONS,
+    )
+    def test_comments_three_columns_and_crlf_in_mid_window(
+        self, tmp_path, monkeypatch, lines, window, options
+    ):
+        monkeypatch.setattr(graph_io, "_WINDOW_BYTES", window)
+        path = _write(tmp_path, "".join(line + "\r\n" for line in lines))
+        if _compare(path, **options) is not None:
+            assert _read_by_columns(path, options["default_probability"])
+
+    def test_every_rule_of_the_id_token_at_its_edge(self, tmp_path):
+        columns = [
+            "+0 -0",
+            "007 +007",
+            f"{10**18 - 1} -{10**18 - 1}",
+            f"{0:018d} 1",
+        ]
+        lines = [
+            f"{0:019d} 1",
+            f"{2**63 - 1} 1",
+            f"-{2**63} 1",
+            f"{10**19} 1",
+            "+ 1",
+            "1 -",
+            "+-1 2",
+            "1+ 2",
+            "1_0 2",
+        ]
+        for line in columns:
+            path = _write(tmp_path, f"# edge\n{line} 0.5\n1 2\n")
+            _compare(path)
+            assert _read_by_columns(path, 1.0), line
+        for line in lines:
+            path = _write(tmp_path, f"# edge\n{line} 0.5\n1 2\n")
+            _compare(path)
+            assert not _read_by_columns(path, 1.0), line
 
 
 # ----------------------------------------------------------------------
